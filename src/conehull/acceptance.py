@@ -51,7 +51,7 @@ from .samplers import (
     sample_schlaefli_cone,
     sample_uniform_sphere_batch,
 )
-from .stats import Estimate, binomial_estimate, mean_estimate, two_sample_energy_test
+from .stats import Estimate, binomial_estimate, mean_estimate, ratio_estimate, two_sample_energy_test
 from .tessellation import feature_array, intensity_gamma, sample_typical_cell
 
 PROFILES = {
@@ -403,7 +403,7 @@ def criterion_main_theorem(config: ExperimentConfig) -> list[ResultRecord]:
         )
     )
     # importance-weighted typical-cell moments (self-normalized)
-    ratio_f0 = _ratio(typ[:, 1] * weights, weights)
+    ratio_f0 = ratio_estimate(typ[:, 1] * weights, weights)
     records.append(
         ResultRecord.from_estimate(
             replace(config, reps=knobs["typ_reps"]), "main-theorem[typical-mean-f0]", ratio_f0,
@@ -458,12 +458,6 @@ def criterion_main_theorem(config: ExperimentConfig) -> list[ResultRecord]:
         )
     )
     return records
-
-
-def _ratio(numer: np.ndarray, denom: np.ndarray) -> Estimate:
-    from .stats import ratio_estimate
-
-    return ratio_estimate(numer, denom)
 
 
 # ---------------------------------------------------------------------------

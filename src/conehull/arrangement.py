@@ -191,14 +191,6 @@ def match_rays(data: RaySignData, cell_signs: np.ndarray) -> np.ndarray:
     return np.concatenate([data.directions[pos], -data.directions[neg]], axis=0)
 
 
-def count_incident_rays(data: RaySignData, cell_signs: np.ndarray) -> int:
-    s = np.asarray(cell_signs, dtype=np.int8)
-    nonzero = data.signs != 0
-    mismatch = ((data.signs != s[None, :]) & nonzero).sum(axis=1)
-    offcount = nonzero.sum(axis=1)
-    return int(np.count_nonzero(mismatch == 0) + np.count_nonzero(mismatch == offcount))
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .acceptance import CRITERIA, all_passed, format_record_line, run_all
+from .acceptance import CRITERIA, PROFILES, all_passed, format_record_line, run_all
 from .arrangement import arrangement_face_census, enumerate_cones, schlaefli_count
 from .densities import (
     Ball,
@@ -30,7 +30,7 @@ from .densities import (
     exterior_inverse_power_integral,
     pc_beta_prime,
 )
-from .errors import ConehullError, NotPointed
+from .errors import ConehullError, ConfigError, NotPointed
 from .geometry import Polytope, face_counts_spherical
 from .harness import records_to_csv
 from .profiles import sample_Pn_star, sample_Qn_star
@@ -62,14 +62,31 @@ def _emit(obj, out):
     out.write(json.dumps(obj) + "\n")
 
 
+def verify_config(cfg) -> dict:
+    """A `verify --config` object, checked; a ConfigError names the bad field."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config: must be a JSON object")
+    for key, value in cfg.items():
+        if key in ("seed", "workers"):
+            if type(value) is not int:
+                raise ConfigError(f"{key}: must be an integer")
+        elif key == "profile" and (not isinstance(value, str) or value not in PROFILES):
+            raise ConfigError(f"profile: unknown profile {value!r}")
+        elif key == "criteria" and (not isinstance(value, list) or any(c not in CRITERIA for c in value)):
+            raise ConfigError(f"criteria: must be a list of names from {','.join(CRITERIA)}")
+        elif key not in ("seed", "workers", "profile", "criteria"):
+            raise ConfigError(f"{key}: unknown config field")
+    return cfg
+
+
 def cmd_verify(args) -> int:
     criteria = args.criteria.split(",") if args.criteria else None
     seed, workers, profile = _seed(args), args.workers, args.profile
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        seed = int(cfg.get("seed", seed))
-        workers = int(cfg.get("workers", workers))
+            cfg = verify_config(json.load(fh))
+        seed = cfg.get("seed", seed)
+        workers = cfg.get("workers", workers)
         profile = cfg.get("profile", profile)
         criteria = cfg.get("criteria", criteria)
         if os.environ.get("CONEHULL_SEED") is not None:

@@ -140,7 +140,9 @@ def _akl_toussaint_filter(pts: np.ndarray) -> np.ndarray:
         normals, offsets = polygon_edge_normals(quad)
     except DegenerateInput:
         return pts
-    inside = np.all(pts @ normals.T - offsets < -EPS_SIGN, axis=1)
+    # relative tolerance: rounding of the products grows with the coordinates
+    tol = EPS_SIGN * float(np.max(np.abs(quad)))
+    inside = np.all(pts @ normals.T - offsets < -tol, axis=1)
     return pts[~inside]
 
 

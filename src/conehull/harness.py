@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .rng import RngStream
@@ -56,9 +56,6 @@ class ExperimentConfig:
             raise ConfigError("workers: must be >= 1")
         return self
 
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=seed)
-
 
 @dataclass
 class ResultRecord:
@@ -74,6 +71,11 @@ class ResultRecord:
     exact_target: float | None
     passed: bool | None
     runtime_ms: float = 0.0
+
+    def __post_init__(self) -> None:
+        # a numpy bool would print as True/False and is not `False`
+        if self.passed is not None:
+            self.passed = bool(self.passed)
 
     @classmethod
     def from_estimate(

@@ -38,11 +38,3 @@ class RngStream:
             [self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
         return np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, k: int) -> "RngStream":
-        """Derived stream for nested parallelism; deterministic in (self, k)."""
-        return RngStream(self.master_seed, _mix(self.stream_id, k))
-
-
-def replicate_stream(master_seed: int, replicate: int) -> RngStream:
-    return RngStream(master_seed, replicate)

@@ -110,12 +110,3 @@ def two_sample_energy_test(
             count += 1
     p_value = (count + 1) / (permutations + 1)
     return observed, p_value
-
-
-def two_sample_energy_test_1d(a, b, permutations: int, rng: np.random.Generator):
-    return two_sample_energy_test(
-        np.asarray(a, dtype=float).reshape(-1, 1),
-        np.asarray(b, dtype=float).reshape(-1, 1),
-        permutations,
-        rng,
-    )

@@ -11,6 +11,7 @@ for self-normalized averages.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,10 @@ from .geometry import (
 from .samplers import sample_uniform_sphere_batch
 
 intensity_gamma = gamma_intensity
+
+# (d+1)-subsets of facet constraints solved per batch in chebyshev_inradius;
+# bounds its work arrays for cells with many facets.
+_CHEBYSHEV_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -73,10 +78,7 @@ def sample_pht(
     many, uniform directions, uniform distances."""
     if R <= 0 or gamma <= 0:
         raise DegenerateInput("need positive gamma and R")
-    count = int(rng.poisson(2.0 * gamma * R))
-    dirs = sample_uniform_sphere_batch(d - 1, count, rng) if count else np.empty((0, d))
-    dists = R * rng.random(count)
-    planes = [AffineHyperplane(dirs[i], float(dists[i])) for i in range(count)]
+    planes = _sample_pht_shell(d, gamma, 0.0, R, rng)
     return HyperplaneProcessSample(intensity=gamma, window_radius=R, hyperplanes=planes)
 
 
@@ -301,38 +303,49 @@ class CellFeatures:
         return np.array([self.volume, self.f_vector[0], self.inradius, self.diameter])
 
 
-def _inradius_bisection(normals: np.ndarray, offsets: np.ndarray, hi: float) -> float:
-    """Largest r with {x : <u_i, x> <= t_i - r} nonempty, by bisection."""
-    lo = 0.0
-    bound = float(np.max(np.abs(offsets))) + hi + 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        poly = intersect_halfplanes(normals, offsets - mid, bound)
-        if len(poly) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def chebyshev_inradius(normals: np.ndarray, offsets: np.ndarray, center: np.ndarray) -> float:
+    """Exact radius of the largest ball in {x : <u_i, x> <= t_i}, u_i unit.
+
+    The LP max r s.t. <u_i, x> + r <= t_i has its optimum at a vertex, where
+    d+1 constraints are tight: solve every (d+1)-subset and keep the largest
+    r that satisfies all constraints.  Shifting to the interior point
+    `center` makes the feasibility tolerance relative to the cell's size.
+    """
+    m, d = normals.shape
+    t = offsets - normals @ center
+    tol = 1e-12 * float(np.max(np.abs(t)))
+    A = np.hstack([normals, np.ones((m, 1))])
+    subsets = itertools.combinations(range(m), d + 1)
+    best = -np.inf
+    while True:
+        block = itertools.islice(subsets, _CHEBYSHEV_BLOCK)
+        idx = np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp).reshape(-1, d + 1)
+        if len(idx) == 0:
+            break
+        M = A[idx]
+        regular = np.abs(np.linalg.det(M)) > EPS_SIGN
+        sol = np.linalg.solve(M[regular], t[idx[regular]][..., None])[..., 0]
+        feasible = np.all(sol @ A.T <= t + tol, axis=1)
+        if feasible.any():
+            best = max(best, float(sol[feasible, d].max()))
+    if best < 0.0:
+        raise ZeroVolume("cell has no interior")
+    return best
 
 
 def cell_features(p: Polytope) -> CellFeatures:
-    """Volume, face vector, inradius and diameter of a cell."""
-    d = p.dim
-    verts = p.vertices
-    diam = 0.0
-    for i in range(len(verts)):
-        diffs = verts[i + 1 :] - verts[i]
-        if len(diffs):
-            diam = max(diam, float(np.max(np.linalg.norm(diffs, axis=1))))
+    """Volume, face vector, inradius and diameter of a cell.  The inradius
+    is exact: chebyshev_inradius of the facet constraints, in d = 2 and 3."""
+    d, verts = p.dim, p.vertices
+    if d == 1:
+        length = float(verts[:, 0].max() - verts[:, 0].min())
+        return CellFeatures(volume=length, f_vector=(2,), inradius=length / 2, diameter=length)
     if d == 2:
         ordered = ccw_order(verts)
         vol = abs(polygon_area(ordered))
         normals, offsets = polygon_edge_normals(ordered)
-        inr = _inradius_bisection(normals, offsets, hi=diam / 2.0 + 1e-9)
-        m = len(ordered)
-        return CellFeatures(volume=vol, f_vector=(m, m), inradius=inr, diameter=diam)
-    if d == 3:
-        from scipy.optimize import linprog
+        f_vector = (len(ordered), len(ordered))
+    elif d == 3:
         from scipy.spatial import ConvexHull as _Qhull
 
         qh = _Qhull(verts)
@@ -342,22 +355,15 @@ def cell_features(p: Polytope) -> CellFeatures:
         for eq in qh.equations:
             if not any(np.linalg.norm(eq - q) <= 1e-8 for q in planes):
                 planes.append(eq)
-        f0 = len(qh.vertices)
-        f2 = len(planes)
-        f1 = f0 + f2 - 2
+        f0, f2 = len(qh.vertices), len(planes)
+        f_vector = (f0, f0 + f2 - 2, f2)
         eqs = np.array(planes)
-        # Chebyshev center: max r s.t. a x + r <= b
-        c = np.zeros(4)
-        c[3] = -1.0
-        A = np.hstack([eqs[:, :3], np.ones((len(eqs), 1))])
-        b = -eqs[:, 3]
-        res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * 3 + [(0, None)])
-        inr = float(res.x[3]) if res.success else 0.0
-        return CellFeatures(volume=vol, f_vector=(f0, f1, f2), inradius=inr, diameter=diam)
-    if d == 1:
-        length = float(verts[:, 0].max() - verts[:, 0].min())
-        return CellFeatures(volume=length, f_vector=(2,), inradius=length / 2, diameter=length)
-    raise DegenerateInput("cell features supported for d <= 3")
+        normals, offsets = eqs[:, :3], -eqs[:, 3]
+    else:
+        raise DegenerateInput("cell features supported for d <= 3")
+    diam = float(np.sqrt(np.max(np.sum((verts[:, None] - verts[None]) ** 2, axis=2))))
+    inr = chebyshev_inradius(normals, offsets, verts.mean(axis=0))
+    return CellFeatures(volume=vol, f_vector=f_vector, inradius=inr, diameter=diam)
 
 
 def feature_array(p: Polytope) -> np.ndarray:

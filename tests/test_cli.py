@@ -120,3 +120,36 @@ def test_verify_quick_subset(tmp_path):
     assert text.startswith("experiment,d,n,reps,seed,")
     assert "closed-forms" in text
     assert "[PASS]" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"profile": "fast", "criteria": ["wendel"]}, "profile"),
+        ({"profile": "fast", "criteria": ["closed-forms"]}, "profile"),
+        ({"profile": "quick", "criteria": ["closed-forms"], "seeds": 1}, "seeds"),
+        ({"profile": "quick", "criteria": ["no-such-criterion"]}, "criteria"),
+        ({"profile": "quick", "criteria": "closed-forms"}, "criteria"),
+        ({"profile": "quick", "workers": 0}, "workers"),
+        ({"profile": "quick", "seed": 4.5}, "seed"),
+    ],
+)
+def test_verify_config_rejects_bad_fields(tmp_path, cfg, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["verify", "--config", str(path)])
+    assert proc.returncode == 2
+    assert f"error: {field}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_config_accepts_known_fields(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 42, "workers": 1, "profile": "quick",
+                                "criteria": ["closed-forms"]}))
+    out = tmp_path / "records.csv"
+    proc = run_cli(["verify", "--config", str(path), "--out", str(out)])
+    assert proc.returncode == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert rows and all(r.split(",")[0].startswith("closed-forms[") for r in rows)
+    assert all(r.split(",")[10] == "true" for r in rows)

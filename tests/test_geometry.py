@@ -335,3 +335,19 @@ def test_polar_cone_of_orthant():
     assert not contains(pol, [1.0, 0.5, 0.2])
     back = polar_cone(pol)
     assert contains(back, [1.0, 1.0, 1.0])
+
+
+def test_hull_keeps_quadrilateral_corner_at_large_coordinates():
+    # coordinates of order 1e5: an absolute filter tolerance dropped the
+    # true hull vertex (120166.7, -434983.9), a corner of the filter's own
+    # quadrilateral of axis extremes
+    from scipy.spatial import ConvexHull
+
+    from conehull.rng import RngStream
+    from conehull.samplers import sample_cauchy_points
+
+    pts = sample_cauchy_points(2, 10_000, RngStream(1, 296).generator())
+    oracle = pts[ConvexHull(pts).vertices]
+    assert len(oracle) == 5
+    hull = convex_hull(pts, 2)
+    assert vertex_sets_equal(sorted(map(tuple, hull.vertices)), sorted(map(tuple, oracle)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from conehull.acceptance import all_passed
 from conehull.errors import ConfigError
 from conehull.harness import (
     CSV_COLUMNS,
@@ -151,3 +152,21 @@ def test_result_record_json():
     obj = rec.to_json()
     json.dumps(obj)
     assert obj["pass"] is None
+
+
+def test_numpy_bool_pass_flag_is_a_real_bool():
+    def record(passed):
+        return ResultRecord(
+            experiment="demo", d=2, n=None, reps=1, seed=0,
+            estimate=1.0, std_error=0.0, ci_low=1.0, ci_high=1.0,
+            exact_target=1.0, passed=passed,
+        )
+
+    failing = record(np.float64(1.0) <= np.float64(0.5))
+    assert failing.passed is False
+    assert not all_passed([record(True), failing])
+    assert failing.csv_row(include_runtime=False).endswith(",false,")
+    assert failing.to_json()["pass"] is False
+    passing = record(np.True_)
+    assert passing.passed is True
+    assert passing.csv_row(include_runtime=False).endswith(",true,")

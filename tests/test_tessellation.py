@@ -11,6 +11,7 @@ from conehull.rng import RngStream
 from conehull.tessellation import (
     AffineHyperplane,
     cell_features,
+    chebyshev_inradius,
     clip_polygon,
     intensity_gamma,
     sample_pht,
@@ -230,3 +231,96 @@ def test_window_cells_cover_and_complete_flags():
     for c in cells:
         inside = np.max(np.linalg.norm(c.polytope.vertices, axis=1)) < 20.0
         assert c.complete == inside
+
+
+# --- exact inradius -------------------------------------------------------
+
+
+def regular_polygon(m, radius=1.0, phase=0.3):
+    ang = phase + 2 * math.pi * np.arange(m) / m
+    return Polytope(2, radius * np.column_stack([np.cos(ang), np.sin(ang)]))
+
+
+@pytest.mark.parametrize("m", list(range(3, 65)) + [200])
+def test_inradius_regular_polygon(m):
+    # 200 edges give C(200, 3) edge triples, many blocks of the solver
+    feats = cell_features(regular_polygon(m))
+    assert feats.inradius == pytest.approx(math.cos(math.pi / m), rel=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 4.0), (1.0, 1.0), (0.01, 7.5), (2.0, 1e-3)])
+def test_inradius_right_triangle(a, b):
+    tri = Polytope(2, np.array([[0.0, 0.0], [a, 0.0], [0.0, b]]))
+    c = math.hypot(a, b)
+    assert cell_features(tri).inradius == pytest.approx((a + b - c) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("w, h", [(1.0, 1.0), (3.0, 1.0), (0.2, 5.0), (1e-4, 1.0)])
+def test_inradius_rectangle(w, h):
+    rect = Polytope(2, np.array([[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]]))
+    assert cell_features(rect).inradius == pytest.approx(min(w, h) / 2, rel=1e-12)
+
+
+def test_inradius_translation_invariant():
+    rng = rng_for(21)
+    for _ in range(20):
+        p = sample_zero_cell(2, 0.5, rng).polytope
+        moved = p.translated(np.array([1e6, -1e6]))
+        r0, r1 = cell_features(p).inradius, cell_features(moved).inradius
+        assert r1 == pytest.approx(r0, rel=1e-9)
+    hexagon = regular_polygon(6).translated(np.array([1e6, 1e6]))
+    assert cell_features(hexagon).inradius == pytest.approx(math.cos(math.pi / 6), rel=1e-9)
+
+
+def test_inradius_unit_cube():
+    cube = Polytope(3, np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]))
+    feats = cell_features(cube)
+    assert feats.f_vector == (8, 12, 6)
+    assert feats.inradius == pytest.approx(0.5, rel=1e-12)
+    assert feats.diameter == pytest.approx(math.sqrt(3), rel=1e-12)
+
+
+def test_inradius_3d_zero_cells_match_linprog():
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull
+
+    rng = rng_for(22)
+    for _ in range(10):
+        p = sample_zero_cell(3, intensity_gamma(3), rng).polytope
+        eqs = ConvexHull(p.vertices).equations
+        A = np.hstack([eqs[:, :3], np.ones((len(eqs), 1))])
+        res = linprog([0, 0, 0, -1], A_ub=A, b_ub=-eqs[:, 3], bounds=[(None, None)] * 4)
+        assert res.success
+        assert cell_features(p).inradius == pytest.approx(res.x[3], rel=1e-9)
+
+
+def test_chebyshev_inradius_on_raw_constraints():
+    # the triangle x >= 0, y >= 0, x + y <= 1, shifted to a non-central point
+    normals = np.array([[0.0, -1.0], [-1.0, 0.0], [1.0, 1.0] / np.sqrt(2.0)])
+    offsets = np.array([0.0, 0.0, 1.0 / np.sqrt(2.0)])
+    r = chebyshev_inradius(normals, offsets, np.array([0.3, 0.3]))
+    assert r == pytest.approx((2.0 - math.sqrt(2.0)) / 2.0, rel=1e-12)
+
+
+def test_chebyshev_inradius_rejects_near_feasible_vertex():
+    # the 3-4-5 triangle (inradius 1, centre (1, 1)) with its incircle's
+    # tangent at 45 degrees pushed in by delta: the old optimum violates the
+    # new edge by delta only, and the exact radius is 1 - delta (sqrt 2 - 1)
+    delta = 1e-7
+    s = 1.0 / math.sqrt(2.0)
+    normals = np.array([[-1.0, 0.0], [0.0, -1.0], [0.8, 0.6], [s, s]])
+    offsets = np.array([0.0, 0.0, 2.4, math.sqrt(2.0) + 1.0 - delta])
+    r = chebyshev_inradius(normals, offsets, np.array([1.0, 1.0]))
+    assert r == pytest.approx(1.0 - delta * (math.sqrt(2.0) - 1.0), rel=1e-12)
+
+
+def test_diameter_matches_pairwise_loop():
+    # the vectorized diameter against the pairwise loop it replaced; the
+    # arithmetic per pair is the same, so the results are equal
+    rng = rng_for(23)
+    cells = [sample_zero_cell(2, 0.5, rng).polytope for _ in range(20)]
+    cells += [sample_zero_cell(3, intensity_gamma(3), rng).polytope for _ in range(5)]
+    for p in cells:
+        v = p.vertices
+        loop = max(float(np.max(np.linalg.norm(v[i + 1 :] - v[i], axis=1))) for i in range(len(v) - 1))
+        assert cell_features(p).diameter == loop
