@@ -34,7 +34,7 @@ from .densities import (
     pc_halfspace,
 )
 from .errors import TiedFirstCoordinate
-from .geometry import Polytope, convex_hull, extreme_rays, polar_polytope
+from .geometry import Polytope, convex_hull, extreme_rays, polar_polytope, solid_angle
 from .harness import (
     ExperimentConfig,
     ResultRecord,
@@ -44,7 +44,6 @@ from .harness import (
 from .profiles import sample_Pn_star, sample_Qn_star
 from .rng import RngStream, _mix
 from .samplers import (
-    cell_solid_angle,
     sample_cauchy_points,
     sample_poisson_Pi,
     sample_s_minus_e,
@@ -252,10 +251,10 @@ def criterion_wendel(config: ExperimentConfig) -> list[ResultRecord]:
 
 def _size_bias_rep(rng: np.random.Generator, r: int, n: int = 8) -> tuple:
     s = sample_schlaefli_cone(n, 2, rng)
-    alpha = cell_solid_angle(s.cone)
+    alpha = solid_angle(s.cone)
     f0 = s.rays.shape[0]
     t = sample_s_minus_e(n, 2, rng)
-    alpha_t = cell_solid_angle(t.cone)
+    alpha_t = solid_angle(t.cone)
     f0_t = extreme_rays(t.cone).shape[0]
     w = schlaefli_count(n, 3) * alpha
     return (w, alpha * w, f0 * w, 1.0, alpha_t, float(f0_t))

@@ -165,13 +165,12 @@ def fast_ray_data(normals: np.ndarray, block: int = 8192) -> FastRayData:
 def _cell_sign_vectors(data: RaySignData) -> np.ndarray:
     """All distinct cell sign vectors of a generic arrangement, n >= D."""
     D = data.dim
-    n = data.n
     eps_patterns = np.array(list(itertools.product((-1, 1), repeat=D - 1)), dtype=np.int8)
     blocks = []
     for orient in (1, -1):
         base = orient * data.signs  # (L, n)
         for eps in eps_patterns:
-            block = np.repeat(base[:, None, :], 1, axis=1).reshape(-1, n).copy()
+            block = base.copy()
             rows = np.arange(len(data.subsets))
             for j in range(D - 1):
                 block[rows, data.subsets[:, j]] = eps[j]
@@ -180,14 +179,21 @@ def _cell_sign_vectors(data: RaySignData) -> np.ndarray:
     return np.unique(allv, axis=0)
 
 
-def match_rays(data: RaySignData, cell_signs: np.ndarray) -> np.ndarray:
+def cell_ray_lines(data: RaySignData, cell_signs) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the ray lines whose canonical (pos) or reversed (neg)
+    direction is an extreme ray of the cell with the given +-1 signs.
+
+    Each line has exactly n - D + 1 nonzero signs; it carries a ray of the
+    cell iff all of them agree with the cell's signs, up to orientation.
+    """
+    agree = data.signs @ np.asarray(cell_signs, dtype=np.int64)
+    off = data.n - data.dim + 1
+    return agree == off, agree == -off
+
+
+def match_rays(data: RaySignData, cell_signs) -> np.ndarray:
     """Extreme rays of the cell with the given sign vector, via sign matching."""
-    s = np.asarray(cell_signs, dtype=np.int8)
-    nonzero = data.signs != 0
-    mismatch = ((data.signs != s[None, :]) & nonzero).sum(axis=1)
-    offcount = nonzero.sum(axis=1)
-    pos = mismatch == 0
-    neg = mismatch == offcount
+    pos, neg = cell_ray_lines(data, cell_signs)
     return np.concatenate([data.directions[pos], -data.directions[neg]], axis=0)
 
 
@@ -273,22 +279,14 @@ def enumerate_cones(normals) -> ConicalArrangement:
     for s in sign_vectors:
         cone = PolyhedralCone(normals, np.asarray(s, dtype=int))
         if data is not None and n >= D:
-            rays = match_rays(data, s)
+            pos, neg = cell_ray_lines(data, s)
+            rays = np.concatenate([data.directions[pos], -data.directions[neg]], axis=0)
             rays.setflags(write=False)
             cone._rays = rays
-            cone._ray_incidence = _incidence_for(data, s)
+            incident = np.concatenate([data.subsets[pos], data.subsets[neg]])
+            cone._ray_incidence = tuple(map(tuple, incident))
         cells.append(cone)
     return ConicalArrangement(normals=normals, cells=cells, ray_data=data)
-
-
-def _incidence_for(data: RaySignData, cell_signs) -> tuple[tuple[int, ...], ...]:
-    s = np.asarray(cell_signs, dtype=np.int8)
-    nonzero = data.signs != 0
-    mismatch = ((data.signs != s[None, :]) & nonzero).sum(axis=1)
-    offcount = nonzero.sum(axis=1)
-    out = [tuple(data.subsets[i]) for i in np.nonzero(mismatch == 0)[0]]
-    out += [tuple(data.subsets[i]) for i in np.nonzero(mismatch == offcount)[0]]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

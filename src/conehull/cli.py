@@ -45,7 +45,6 @@ from .samplers import (
 from .svg import render_svg
 from .tessellation import (
     cell_features,
-    sample_pht,
     sample_typical_cell,
     sample_zero_cell,
 )
@@ -172,6 +171,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_pht(args) -> int:
+    if args.scene and (args.typical or args.d != 2):
+        raise ConfigError("--scene: draws a planar zero cell with its lines; needs --d 2 "
+                          "and no --typical")
     out = sys.stdout
     scene = None
     for rep in range(args.reps):
@@ -196,14 +198,12 @@ def cmd_pht(args) -> int:
             },
             out,
         )
-        if rep == 0 and args.scene and args.d == 2:
-            rng2 = RngStream(_seed(args), 10_000_019).generator()
-            sample = sample_pht(2, args.gamma, args.R, rng2)
+        if rep == 0 and args.scene:
             scene = {
-                "window_radius": args.R,
+                "window_radius": z.radius,
                 "chords": [
                     [float(h.direction[0]), float(h.direction[1]), h.distance]
-                    for h in sample.hyperplanes
+                    for h in z.hyperplanes
                 ],
                 "polygons": [poly.vertices.tolist()],
             }
@@ -225,7 +225,7 @@ def cmd_profile(args) -> int:
             {
                 "kind": args.kind,
                 "polytope": s.polytope.to_json(),
-                "source_f0": s.polytope.n_vertices,
+                "f0": s.polytope.n_vertices,
                 "attempts": s.attempts,
                 "bounded_fraction_so_far": (rep + 1) / attempts_total,
             },
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("pht", help="Poisson hyperplane tessellation cells")
     t.add_argument("--d", type=int, default=2)
     t.add_argument("--gamma", type=float, default=0.5)
-    t.add_argument("--R", type=float, default=40.0)
+    t.add_argument("--R", type=float, default=40.0, help="window radius for --typical window")
     t.add_argument("--reps", type=int, default=1)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--typical", choices=("window", "importance"), default="")

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     DegenerateInput,
@@ -99,24 +100,6 @@ def _cross2(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _monotone_chain(points: np.ndarray) -> np.ndarray:
-    """Strictly convex hull vertices of unique 2-d points (collinear dropped)."""
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    pts = points[order]
-
-    def half(seq):
-        h: list[np.ndarray] = []
-        for q in seq:
-            while len(h) >= 2 and _cross2(h[-2], h[-1], q) <= 0.0:
-                h.pop()
-            h.append(q)
-        return h
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
 def affine_rank(points: np.ndarray) -> int:
     diffs = points[1:] - points[0]
     if diffs.size == 0:
@@ -124,34 +107,13 @@ def affine_rank(points: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(diffs, tol=EPS_RANK))
 
 
-def _akl_toussaint_filter(pts: np.ndarray) -> np.ndarray:
-    """Drop points strictly inside the quadrilateral of axis extremes.
-
-    Discarded points can never be hull vertices, so the hull is unchanged;
-    on heavy-tailed clouds this removes almost everything.
-    """
-    idx = {int(pts[:, 0].argmin()), int(pts[:, 0].argmax()),
-           int(pts[:, 1].argmin()), int(pts[:, 1].argmax())}
-    quad = np.unique(pts[sorted(idx)], axis=0)
-    if len(quad) < 3 or affine_rank(quad) < 2:
-        return pts
-    quad = ccw_order(quad)
-    try:
-        normals, offsets = polygon_edge_normals(quad)
-    except DegenerateInput:
-        return pts
-    # relative tolerance: rounding of the products grows with the coordinates
-    tol = EPS_SIGN * float(np.max(np.abs(quad)))
-    inside = np.all(pts @ normals.T - offsets < -tol, axis=1)
-    return pts[~inside]
-
-
 def convex_hull(points, dim: int) -> Polytope:
-    """Exact extreme points of a point set in R^dim, dim in {1, 2, 3}.
+    """Extreme points of a point set in R^dim, dim in {1, 2, 3}.
 
-    Raises DegenerateInput when the points span a lower-dimensional affine
-    subspace and TiedFirstCoordinate when two hull vertices share a first
-    coordinate exactly.
+    Dims 2 and 3 go through Qhull; points on an edge or a facet are not
+    vertices.  Raises DegenerateInput when the points span a
+    lower-dimensional affine subspace and TiedFirstCoordinate when two hull
+    vertices share a first coordinate exactly.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -168,19 +130,11 @@ def convex_hull(points, dim: int) -> Polytope:
 
     if dim == 1:
         hull = np.array([[pts[:, 0].min()], [pts[:, 0].max()]])
-    elif dim == 2:
-        if pts.shape[0] > 512:
-            pts = _akl_toussaint_filter(pts)
-        hull = _monotone_chain(pts)
     else:
-        from scipy.spatial import ConvexHull as _Qhull
-        from scipy.spatial import QhullError
-
         try:
-            qh = _Qhull(pts)
+            hull = pts[ConvexHull(pts).vertices]
         except QhullError as exc:  # pragma: no cover - rank check above
             raise DegenerateInput(str(exc)) from exc
-        hull = pts[qh.vertices]
 
     firsts = np.sort(hull[:, 0])
     if np.any(np.diff(firsts) == 0.0):
@@ -209,9 +163,7 @@ def polytope_volume(p: Polytope) -> float:
     if p.dim == 2:
         return abs(polygon_area(ccw_order(p.vertices)))
     if p.dim == 3:
-        from scipy.spatial import ConvexHull as _Qhull
-
-        return float(_Qhull(p.vertices).volume)
+        return float(ConvexHull(p.vertices).volume)
     raise DegenerateInput("volumes are only supported for dim <= 3")
 
 
@@ -260,9 +212,7 @@ def polar_polytope(p: Polytope) -> Polytope:
             raise OriginNotInterior("origin not strictly interior to the polygon")
         return Polytope(2, normals / offsets[:, None])
     if p.dim == 3:
-        from scipy.spatial import ConvexHull as _Qhull
-
-        qh = _Qhull(p.vertices)
+        qh = ConvexHull(p.vertices)
         normals = qh.equations[:, :3]
         offsets = -qh.equations[:, 3]
         if np.any(offsets <= EPS_SIGN):
@@ -477,40 +427,35 @@ def polar_cone(cone: PolyhedralCone) -> PolyhedralCone:
     return PolyhedralCone(rays, -np.ones(rays.shape[0], dtype=int))
 
 
-def _facet_ray_pairs(cone: PolyhedralCone) -> dict[int, list[int]]:
-    rays = extreme_rays(cone)
-    incid = ray_incidence(cone)
-    by_plane: dict[int, list[int]] = {}
-    for ray_idx, T in enumerate(incid):
-        for i in T:
-            by_plane.setdefault(i, []).append(ray_idx)
-    for i, lst in list(by_plane.items()):
-        if len(lst) == 1:
-            raise NonGeneric("hyperplane touches the cone in a single ray")
-        if len(lst) > 2 and cone.ambient_dim == 3:
-            raise NonGeneric("hyperplane incident to more than two rays")
-    return by_plane
+def ray_cycle(cone: PolyhedralCone) -> np.ndarray:
+    """Extreme rays of a pointed 3-d cone in boundary order.
 
-
-def _ordered_ray_cycle(cone: PolyhedralCone) -> np.ndarray:
-    """Rays of a pointed 3-d cone in boundary order, via facet adjacency."""
+    Two rays are neighbours when they share a facet hyperplane; facets are
+    paired in hyperplane-index order and the cycle starts at ray 0.
+    """
     rays = extreme_rays(cone)
     m = rays.shape[0]
     if m < 3:
         raise DegenerateInput("full-dimensional pointed 3-d cone needs >= 3 rays")
-    pairs = [tuple(v) for v in _facet_ray_pairs(cone).values() if len(v) == 2]
-    adj: dict[int, list[int]] = {i: [] for i in range(m)}
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    if any(len(v) != 2 for v in adj.values()) or len(pairs) != m:
-        raise NonGeneric("facet structure is not a single cycle")
+    inc = np.abs(rays @ cone.normals.T) <= EPS_COORD
+    per_plane = inc.sum(axis=0)
+    if np.any(per_plane > 2):
+        raise NonGeneric("hyperplane incident to more than two rays")
+    adj: list[list[int]] = [[] for _ in range(m)]
+    for j in np.nonzero(per_plane == 2)[0]:
+        a, b = np.nonzero(inc[:, j])[0]
+        adj[a].append(int(b))
+        adj[b].append(int(a))
+    if any(len(v) != 2 for v in adj):
+        raise NonGeneric("ray adjacency is not a cycle")
     order = [0, adj[0][0]]
     while len(order) < m:
         nxt = [j for j in adj[order[-1]] if j != order[-2]]
         if len(nxt) != 1:
-            raise NonGeneric("facet structure is not a single cycle")
+            raise NonGeneric("ray adjacency is not a cycle")
         order.append(nxt[0])
+    if len(set(order)) != m:
+        raise NonGeneric("ray adjacency is not a single cycle")
     return rays[order]
 
 
@@ -564,8 +509,7 @@ def solid_angle(cone: PolyhedralCone) -> float:
         ang = math.atan2(abs(_cross2((0.0, 0.0), rays[0], rays[1])), float(np.dot(rays[0], rays[1])))
         return ang / (2.0 * math.pi)
     if D == 3:
-        ordered = _ordered_ray_cycle(cone)
-        return spherical_polygon_area(ordered) / (4.0 * math.pi)
+        return spherical_polygon_area(ray_cycle(cone)) / (4.0 * math.pi)
     raise DegenerateInput("exact solid angles only for ambient dimension <= 3")
 
 

@@ -15,18 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, IterationCap, SingularFrame
+from .errors import DegenerateInput, IterationCap, OriginNotInterior, SingularFrame
 from .geometry import (
     EPS_SIGN,
     PolyhedralCone,
     Polytope,
-    ccw_order,
     contains,
     convex_hull,
     extreme_rays,
     is_pointed,
     polar_polytope,
-    polygon_edge_normals,
     unit,
 )
 from .samplers import (
@@ -144,29 +142,9 @@ def cell_profile(normals: np.ndarray, signs: np.ndarray, v, scale: float = 1.0) 
         raise DegenerateInput("base direction must be strictly interior to the cell")
     q = -(w @ frame.basis.T) / dots[:, None]
     try:
-        hull = convex_hull(q, frame.dim)
-    except DegenerateInput:
+        return polar_polytope(convex_hull(q, frame.dim)).scaled(scale)
+    except (DegenerateInput, OriginNotInterior):
         return None
-    if frame.dim == 1:
-        lo, hi = float(hull.vertices[0, 0]), float(hull.vertices[-1, 0])
-        if lo >= -EPS_SIGN or hi <= EPS_SIGN:
-            return None
-    elif frame.dim == 2:
-        verts = ccw_order(hull.vertices)
-        _, offsets = polygon_edge_normals(verts)
-        if np.any(offsets <= EPS_SIGN):
-            return None
-    else:
-        if not _origin_in_hull(hull):
-            return None
-    return polar_polytope(hull).scaled(scale)
-
-
-def _origin_in_hull(hull: Polytope) -> bool:
-    from scipy.spatial import ConvexHull as _Qhull
-
-    qh = _Qhull(hull.vertices)
-    return bool(np.all(-qh.equations[:, -1] > EPS_SIGN))
 
 
 @dataclass

@@ -10,10 +10,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .arrangement import (
     FastRayData,
     RaySignData,
+    cell_ray_lines,
     enumerate_cones,
     fast_ray_data,
     ray_sign_data,
@@ -24,13 +26,11 @@ from .errors import DegenerateInput, IterationCap, NonGeneric, NotPointed
 from .geometry import (
     EPS_SIGN,
     PolyhedralCone,
-    ccw_order,
     contains,
     extreme_rays,
     interior_point,
     is_pointed,
-    polygon_edge_normals,
-    spherical_polygon_area,
+    ray_cycle,
     unit,
 )
 
@@ -127,8 +127,6 @@ def _uniform_cell_lazy(
     makes the cell exactly uniform.  Needs n >= D so that cells are pointed.
     """
     D = data.dim
-    nonzero = data.signs != 0
-    offcount = nonzero.sum(axis=1)
     L = len(data.subsets)
     for _ in range(max_trials):
         l = int(rng.integers(L))
@@ -136,9 +134,7 @@ def _uniform_cell_lazy(
         s = (orient * data.signs[l]).astype(np.int8)
         eps = (rng.integers(0, 2, size=D - 1) * 2 - 1).astype(np.int8)
         s[data.subsets[l]] = eps
-        mismatch = ((data.signs != s[None, :]) & nonzero).sum(axis=1)
-        pos = mismatch == 0
-        neg = mismatch == offcount
+        pos, neg = cell_ray_lines(data, s)
         f0 = int(np.count_nonzero(pos)) + int(np.count_nonzero(neg))
         if rng.random() * f0 < 1.0:
             rays = np.concatenate([data.directions[pos], -data.directions[neg]], axis=0)
@@ -298,34 +294,6 @@ def polar_of_r_n(sample: ConeSample) -> PolyhedralCone:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_cycle(rays: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Boundary order of the rays of a pointed 3-d cone via facet pairing."""
-    m = rays.shape[0]
-    if m < 3:
-        raise DegenerateInput("need at least 3 rays")
-    inc = np.abs(rays @ normals.T) <= 1e-9
-    pairs = []
-    for j in range(normals.shape[0]):
-        riders = np.nonzero(inc[:, j])[0]
-        if len(riders) == 2:
-            pairs.append(tuple(riders))
-        elif len(riders) > 2:
-            raise NonGeneric("hyperplane incident to more than two rays")
-    adj: dict[int, list[int]] = {i: [] for i in range(m)}
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    if any(len(v) != 2 for v in adj.values()):
-        raise NonGeneric("ray adjacency is not a cycle")
-    order = [0, adj[0][0]]
-    while len(order) < m:
-        nxt = [j for j in adj[order[-1]] if j != order[-2]]
-        if len(nxt) != 1:
-            raise NonGeneric("ray adjacency is not a cycle")
-        order.append(nxt[0])
-    return rays[order]
-
-
 def _spherical_triangle_area(A, B, C) -> float:
     """Spherical excess in the half-tangent form, stable for tiny triangles
     where the angle sum would cancel catastrophically."""
@@ -395,7 +363,7 @@ def sample_uniform_in_cell(
         u = (math.sin(ang - theta) * rays[0] + math.sin(theta) * rays[1]) / math.sin(ang)
         return unit(u)
     if D == 3:
-        ordered = _ordered_cycle(rays, cone.normals)
+        ordered = ray_cycle(cone)
         m = ordered.shape[0]
         tris = [(ordered[0], ordered[i], ordered[i + 1]) for i in range(1, m - 1)]
         areas = np.array([_spherical_triangle_area(*t) for t in tris])
@@ -429,17 +397,6 @@ def _orthobasis(v: np.ndarray) -> np.ndarray:
     return vt[1:]
 
 
-def cell_solid_angle(cone: PolyhedralCone) -> float:
-    """Exact solid angle of a pointed cell via its ordered ray cycle."""
-    D = cone.ambient_dim
-    if D == 3:
-        ordered = _ordered_cycle(extreme_rays(cone), cone.normals)
-        return spherical_polygon_area(ordered) / (4.0 * math.pi)
-    from .geometry import solid_angle as _sa
-
-    return _sa(cone)
-
-
 # ---------------------------------------------------------------------------
 # The scale-invariant Poisson process
 # ---------------------------------------------------------------------------
@@ -454,24 +411,10 @@ def _inradius_at_origin(points: np.ndarray, d: int) -> float:
     """Largest r with B(0, r) inside conv(points); 0 if origin not interior."""
     if points.shape[0] < d + 1:
         return 0.0
-    if d == 2:
-        try:
-            from .geometry import convex_hull
-
-            hull = convex_hull(points, 2)
-        except DegenerateInput:
-            return 0.0
-        verts = ccw_order(hull.vertices)
-        _, offsets = polygon_edge_normals(verts)
-        return float(np.min(offsets)) if np.all(offsets > 0) else 0.0
-    from scipy.spatial import ConvexHull as _Qhull
-    from scipy.spatial import QhullError
-
     try:
-        qh = _Qhull(points)
+        offs = -ConvexHull(points).equations[:, -1]
     except QhullError:
         return 0.0
-    offs = -qh.equations[:, -1]
     return float(np.min(offs)) if np.all(offs > 0) else 0.0
 
 

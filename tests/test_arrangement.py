@@ -94,6 +94,19 @@ def test_cell_rays_match_direct_computation():
         assert np.allclose(cached, direct, atol=1e-9)
 
 
+@pytest.mark.parametrize("D, n", [(3, 6), (4, 6)])
+def test_cell_ray_incidences_match_direct_computation(D, n):
+    # the cached incidences pair each cached ray with the hyperplanes it
+    # lies on, as found from the ray itself
+    arr = enumerate_cones(random_normals(n, D, seed=20 + D))
+    for cell in arr.cells:
+        for ray, T in zip(cell._rays, cell._ray_incidence):
+            on = np.nonzero(np.abs(arr.normals @ ray) <= 1e-9)[0]
+            assert tuple(int(i) for i in T) == tuple(on)
+        direct = extreme_rays(type(cell)(cell.normals, cell.signs))
+        assert sorted(map(tuple, np.round(cell._rays, 9))) == sorted(map(tuple, np.round(direct, 9)))
+
+
 def test_expected_face_count_values():
     assert expected_spherical_face_count(3, 2, 0) == Fraction(3)
     assert expected_spherical_face_count(4, 2, 0) == Fraction(24, 7)

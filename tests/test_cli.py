@@ -72,6 +72,32 @@ def test_pht_and_plot_deterministic(tmp_path):
     assert "<circle" in text and "<path" in text
 
 
+def test_pht_scene_polygon_edges_lie_on_its_chords(tmp_path, capsys):
+    scene_path = tmp_path / "scene.json"
+    assert main(["pht", "--d", "2", "--gamma", "0.5", "--reps", "1", "--seed", "4",
+                 "--scene", str(scene_path)]) == 0
+    scene = json.loads(scene_path.read_text())
+    chords = np.array(scene["chords"])
+    verts = np.array(scene["polygons"][0])
+    R = scene["window_radius"]
+    assert np.max(np.linalg.norm(verts, axis=1)) < R
+    # order the vertices around their mean, then test every edge
+    c = verts.mean(axis=0)
+    verts = verts[np.argsort(np.arctan2(verts[:, 1] - c[1], verts[:, 0] - c[0]))]
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        resid = np.abs(chords[:, :2] @ np.stack([a, b], axis=1) - chords[:, 2:3])
+        assert np.min(np.max(resid, axis=1)) <= 1e-9 * R
+
+
+def test_pht_scene_rejects_typical(tmp_path, capsys):
+    scene_path = tmp_path / "scene.json"
+    rc = main(["pht", "--d", "2", "--reps", "1", "--typical", "importance",
+               "--scene", str(scene_path)])
+    assert rc == 2
+    assert "error: --scene:" in capsys.readouterr().err
+    assert not scene_path.exists()
+
+
 def test_plot_empty_scene(tmp_path):
     scene = tmp_path / "empty.json"
     scene.write_text(json.dumps({"window_radius": 5.0, "chords": [], "polygons": []}))
@@ -101,6 +127,13 @@ def test_profile_cli_bounded_fraction():
     recs = [json.loads(x) for x in proc.stdout.strip().split("\n")]
     assert all(r["attempts"] >= 1 for r in recs)
     assert all(r["polytope"]["dim"] == 2 for r in recs)
+
+
+def test_profile_cli_reports_profile_f0():
+    proc = run_cli(["profile", "--kind", "qn", "--d", "2", "--n", "16", "--reps", "2", "--seed", "3"])
+    for rec in (json.loads(x) for x in proc.stdout.strip().split("\n")):
+        assert "source_f0" not in rec
+        assert rec["f0"] == len(rec["polytope"]["vertices"])
 
 
 def test_main_entrypoint_inprocess(capsys):

@@ -24,9 +24,13 @@ from conehull.geometry import (
     polar_cone,
     polar_polytope,
     polytope_volume,
+    ray_cycle,
     solid_angle,
     solid_angle_mc,
+    unit,
 )
+from conehull.rng import RngStream
+from conehull.samplers import sample_cauchy_points
 
 
 def rotation2(theta):
@@ -78,16 +82,33 @@ def test_hull_square_with_interior_point():
     assert vertex_sets_equal(hull.vertices, np.array(sorted(map(tuple, corners @ rotation2(0.3).T))))
 
 
-def test_hull_matches_gift_wrapping_on_cauchy_points():
+def _edge_points_square(scale):
+    # a tilted square with points exactly on its edges (dyadic fractions, so
+    # the collinearity is exact) and one interior point
+    corners = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 3.0], [-1.0, 2.0]])
+    t = np.array([0.25, 0.5, 0.75])[:, None]
+    edges = [a + t * (b - a) for a, b in zip(corners, np.roll(corners, -1, axis=0))]
+    return scale * np.vstack([corners, *edges, [[0.5, 1.5]]])
+
+
+def _hull_inputs():
     rng = np.random.default_rng(7)
     for _ in range(25):
-        pts = rng.standard_cauchy((10, 2))
+        yield rng.standard_cauchy((10, 2))
+    for r in range(4):
+        yield sample_cauchy_points(2, 10_000, RngStream(5, r).generator())
+    for scale in (1.0, 1e5):
+        yield _edge_points_square(scale)
+
+
+def test_hull_matches_gift_wrapping_on_cauchy_points():
+    for pts in _hull_inputs():
         hull = convex_hull(pts, 2)
         oracle = gift_wrap_2d(pts)
         assert vertex_sets_equal(hull.vertices, oracle)
         verts = ccw_order(hull.vertices)
-        for p in pts:
-            assert point_in_convex_polygon(p, verts, tol=1e-9)
+        for p in pts[:200]:
+            assert point_in_convex_polygon(p, verts, tol=1e-9 * max(1.0, np.abs(pts).max()))
 
 
 def test_hull_collinear_points_degenerate():
@@ -110,18 +131,27 @@ def test_hull_idempotent_on_vertices():
     assert vertex_sets_equal(hull.vertices, again.vertices)
 
 
+def _is_extreme(pts, i):
+    # pts[i] is a vertex iff it is not a convex combination of the others
+    from scipy.optimize import linprog
+
+    others = np.delete(pts, i, axis=0)
+    k = len(others)
+    res = linprog(np.zeros(k), A_eq=np.vstack([others.T, np.ones(k)]),
+                  b_eq=np.append(pts[i], 1.0), bounds=(0, None), method="highs")
+    return res.status == 2  # infeasible
+
+
 def test_hull_dim1_and_dim3():
     h1 = convex_hull(np.array([[0.3], [1.5], [-2.0], [0.0]]), 1)
     assert vertex_sets_equal(h1.vertices, [[-2.0], [1.5]])
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((40, 3))
     h3 = convex_hull(pts, 3)
+    # the hull vertices are exactly the input points that are extreme
+    extreme = [p for i, p in enumerate(pts) if _is_extreme(pts, i)]
     assert h3.n_vertices >= 4
-    # every vertex is an input point and no input escapes the hull
-    from scipy.spatial import ConvexHull as Qhull
-
-    oracle = Qhull(pts)
-    assert h3.n_vertices == len(oracle.vertices)
+    assert vertex_sets_equal(h3.vertices, Polytope(3, np.array(extreme)).vertices, tol=0.0)
 
 
 # --- polar duality ---------------------------------------------------------
@@ -250,6 +280,24 @@ def test_euler_relation_4d_cones():
         assert f[3] == 1
 
 
+def test_ray_cycle_walks_the_facets_of_each_cell():
+    # consecutive rays span a facet plane (their cross product is parallel
+    # to one of the normals); every ray appears once; the walk starts at ray 0
+    from conehull.arrangement import enumerate_cones
+
+    rng = np.random.default_rng(41)
+    normals = rng.standard_normal((7, 3))
+    for cell in enumerate_cones(normals).cells:
+        rays = extreme_rays(cell)
+        cycle = ray_cycle(cell)
+        m = len(rays)
+        assert np.array_equal(cycle[0], rays[0])
+        assert sorted(map(tuple, cycle)) == sorted(map(tuple, rays))
+        for i in range(m):
+            c = unit(np.cross(cycle[i], cycle[(i + 1) % m]))
+            assert np.max(np.abs(cell.normals @ c)) == pytest.approx(1.0, abs=1e-9)
+
+
 # --- solid angles ----------------------------------------------------------
 
 
@@ -338,16 +386,11 @@ def test_polar_cone_of_orthant():
 
 
 def test_hull_keeps_quadrilateral_corner_at_large_coordinates():
-    # coordinates of order 1e5: an absolute filter tolerance dropped the
-    # true hull vertex (120166.7, -434983.9), a corner of the filter's own
-    # quadrilateral of axis extremes
-    from scipy.spatial import ConvexHull
-
-    from conehull.rng import RngStream
-    from conehull.samplers import sample_cauchy_points
-
+    # coordinates of order 1e5: an absolute tolerance once dropped the true
+    # hull vertex (120166.7, -434983.9), a corner of the quadrilateral of
+    # axis extremes
     pts = sample_cauchy_points(2, 10_000, RngStream(1, 296).generator())
-    oracle = pts[ConvexHull(pts).vertices]
+    oracle = gift_wrap_2d(pts)
     assert len(oracle) == 5
     hull = convex_hull(pts, 2)
-    assert vertex_sets_equal(sorted(map(tuple, hull.vertices)), sorted(map(tuple, oracle)))
+    assert vertex_sets_equal(hull.vertices, oracle, tol=0.0)

@@ -10,11 +10,10 @@ from scipy import stats
 
 from conehull.arrangement import schlaefli_count
 from conehull.densities import pc_polygon
-from conehull.geometry import PolyhedralCone, ccw_order, convex_hull
+from conehull.geometry import PolyhedralCone, ccw_order, convex_hull, solid_angle
 from conehull.profiles import cell_profile, profile, rotate_to_pole, tangent_frame
 from conehull.rng import RngStream
 from conehull.samplers import (
-    cell_solid_angle,
     pole,
     sample_cauchy_points,
     sample_schlaefli_cone,
@@ -43,10 +42,10 @@ def test_rotation_invariance_of_schlaefli_features():
     rotated = []
     for _ in range(400):
         s = sample_schlaefli_cone(6, 2, rng)
-        plain.append((s.rays.shape[0], cell_solid_angle(s.cone)))
+        plain.append((s.rays.shape[0], solid_angle(s.cone)))
         t = sample_schlaefli_cone(6, 2, rng)
         cone_rot = PolyhedralCone(t.cone.normals @ rot.T, t.cone.signs)
-        rotated.append((len(t.rays), cell_solid_angle(cone_rot)))
+        rotated.append((len(t.rays), solid_angle(cone_rot)))
     p_f0 = stats.ks_2samp([a for a, _ in plain], [a for a, _ in rotated]).pvalue
     p_alpha = stats.ks_2samp([b for _, b in plain], [b for _, b in rotated]).pvalue
     assert p_f0 > 1e-3
@@ -59,7 +58,7 @@ def test_rotation_commutes_with_solid_angle_exactly():
         s = sample_schlaefli_cone(5, 2, rng)
         rot = random_rotation3(rng)
         cone_rot = PolyhedralCone(s.cone.normals @ rot.T, s.cone.signs)
-        assert cell_solid_angle(cone_rot) == pytest.approx(cell_solid_angle(s.cone), abs=1e-11)
+        assert solid_angle(cone_rot) == pytest.approx(solid_angle(s.cone), abs=1e-11)
 
 
 def test_profile_equals_profile_of_reflected_cone_exactly():
@@ -87,7 +86,7 @@ def test_size_bias_test_functions_rotation_invariant():
     s = sample_schlaefli_cone(5, 2, rng)
     u = sample_uniform_in_cell(s.cone, rng)
     rot = rotate_to_pole(s.cone, u)
-    assert cell_solid_angle(rot) == pytest.approx(cell_solid_angle(s.cone), abs=1e-11)
+    assert solid_angle(rot) == pytest.approx(solid_angle(s.cone), abs=1e-11)
     from conehull.geometry import extreme_rays
 
     assert extreme_rays(rot).shape[0] == s.rays.shape[0]
@@ -105,7 +104,7 @@ def test_solid_angle_equals_half_profile_content():
         poly = cell_profile(s.cone.normals, s.cone.signs, -pole(3), scale=1.0)
         if poly is None:
             continue
-        alpha = cell_solid_angle(s.cone)
+        alpha = solid_angle(s.cone)
         pc = pc_polygon(ccw_order(poly.vertices))
         assert alpha == pytest.approx(0.5 * pc, abs=1e-10)
         done += 1

@@ -17,7 +17,6 @@ from conehull.geometry import (
 from conehull.rng import RngStream
 from conehull.samplers import (
     ConeSample,
-    cell_solid_angle,
     pole,
     poisson_radial_mass,
     polar_of_r_n,
@@ -176,7 +175,7 @@ def test_schlaefli_mean_alpha_is_inverse_cell_count():
     vals = []
     for _ in range(2000):
         s = sample_schlaefli_cone(n, d, rng)
-        vals.append(cell_solid_angle(s.cone))
+        vals.append(solid_angle(s.cone))
     mean = float(np.mean(vals))
     se = float(np.std(vals)) / math.sqrt(len(vals))
     assert abs(mean - 1.0 / schlaefli_count(n, d + 1)) <= 4 * se
