@@ -191,9 +191,8 @@ def cell_ray_lines(data: RaySignData, cell_signs) -> tuple[np.ndarray, np.ndarra
     return agree == off, agree == -off
 
 
-def match_rays(data: RaySignData, cell_signs) -> np.ndarray:
-    """Extreme rays of the cell with the given sign vector, via sign matching."""
-    pos, neg = cell_ray_lines(data, cell_signs)
+def cell_rays(data: RaySignData | FastRayData, pos, neg) -> np.ndarray:
+    """Extreme rays of a cell from its ray-line masks (see cell_ray_lines)."""
     return np.concatenate([data.directions[pos], -data.directions[neg]], axis=0)
 
 
@@ -280,7 +279,7 @@ def enumerate_cones(normals) -> ConicalArrangement:
         cone = PolyhedralCone(normals, np.asarray(s, dtype=int))
         if data is not None and n >= D:
             pos, neg = cell_ray_lines(data, s)
-            rays = np.concatenate([data.directions[pos], -data.directions[neg]], axis=0)
+            rays = cell_rays(data, pos, neg)
             rays.setflags(write=False)
             cone._rays = rays
             incident = np.concatenate([data.subsets[pos], data.subsets[neg]])

@@ -430,14 +430,16 @@ def polar_cone(cone: PolyhedralCone) -> PolyhedralCone:
 def ray_cycle(cone: PolyhedralCone) -> np.ndarray:
     """Extreme rays of a pointed 3-d cone in boundary order.
 
-    Two rays are neighbours when they share a facet hyperplane; facets are
-    paired in hyperplane-index order and the cycle starts at ray 0.
+    Rays are neighbours when ray_incidence puts them on a common facet;
+    facets are paired in hyperplane-index order, the cycle starts at ray 0.
     """
     rays = extreme_rays(cone)
     m = rays.shape[0]
     if m < 3:
         raise DegenerateInput("full-dimensional pointed 3-d cone needs >= 3 rays")
-    inc = np.abs(rays @ cone.normals.T) <= EPS_COORD
+    inc = np.zeros((m, cone.n_hyperplanes), dtype=bool)
+    for i, T in enumerate(ray_incidence(cone)):
+        inc[i, list(T)] = True
     per_plane = inc.sum(axis=0)
     if np.any(per_plane > 2):
         raise NonGeneric("hyperplane incident to more than two rays")

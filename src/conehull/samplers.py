@@ -16,6 +16,7 @@ from .arrangement import (
     FastRayData,
     RaySignData,
     cell_ray_lines,
+    cell_rays,
     enumerate_cones,
     fast_ray_data,
     ray_sign_data,
@@ -137,8 +138,7 @@ def _uniform_cell_lazy(
         pos, neg = cell_ray_lines(data, s)
         f0 = int(np.count_nonzero(pos)) + int(np.count_nonzero(neg))
         if rng.random() * f0 < 1.0:
-            rays = np.concatenate([data.directions[pos], -data.directions[neg]], axis=0)
-            return s.astype(int), rays
+            return s.astype(int), cell_rays(data, pos, neg)
     raise IterationCap("uniform cell sampling did not accept")
 
 
@@ -160,8 +160,7 @@ def _uniform_cell_fast(
         neg = m == -offcount
         f0 = int(np.count_nonzero(pos)) + int(np.count_nonzero(neg))
         if rng.random() * f0 < 1.0:
-            rays = np.concatenate([data.directions[pos], -data.directions[neg]], axis=0)
-            return s.astype(int), rays
+            return s.astype(int), cell_rays(data, pos, neg)
     raise IterationCap("uniform cell sampling did not accept")
 
 

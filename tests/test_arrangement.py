@@ -6,9 +6,10 @@ import pytest
 from conehull.arrangement import (
     ConicalArrangement,
     arrangement_face_census,
+    cell_ray_lines,
+    cell_rays,
     enumerate_cones,
     expected_spherical_face_count,
-    match_rays,
     ray_sign_data,
     schlaefli_count,
     wendel_probability,
@@ -160,5 +161,5 @@ def test_sum_f0_incidence_oracle():
     assert total_f0 == 24
     data = ray_sign_data(normals)
     for cell in arr.cells:
-        rays = match_rays(data, cell.signs)
+        rays = cell_rays(data, *cell_ray_lines(data, cell.signs))
         assert rays.shape[0] == 3  # simplicial cells

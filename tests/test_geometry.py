@@ -91,24 +91,33 @@ def _edge_points_square(scale):
     return scale * np.vstack([corners, *edges, [[0.5, 1.5]]])
 
 
+def _cross_tol(pts):
+    # _cross2 multiplies two coordinate differences, so its rounding error
+    # grows with the square of the coordinate scale
+    return 1e-9 * max(1.0, float(np.abs(pts).max())) ** 2
+
+
 def _hull_inputs():
+    """(points, containment tolerance) pairs for the hull oracle test."""
     rng = np.random.default_rng(7)
     for _ in range(25):
-        yield rng.standard_cauchy((10, 2))
+        yield rng.standard_cauchy((10, 2)), 1e-9
     for r in range(4):
-        yield sample_cauchy_points(2, 10_000, RngStream(5, r).generator())
+        pts = sample_cauchy_points(2, 10_000, RngStream(5, r).generator())
+        yield pts, _cross_tol(pts)
     for scale in (1.0, 1e5):
-        yield _edge_points_square(scale)
+        pts = _edge_points_square(scale)
+        yield pts, _cross_tol(pts)
 
 
 def test_hull_matches_gift_wrapping_on_cauchy_points():
-    for pts in _hull_inputs():
+    for pts, tol in _hull_inputs():
         hull = convex_hull(pts, 2)
         oracle = gift_wrap_2d(pts)
         assert vertex_sets_equal(hull.vertices, oracle)
         verts = ccw_order(hull.vertices)
         for p in pts[:200]:
-            assert point_in_convex_polygon(p, verts, tol=1e-9 * max(1.0, np.abs(pts).max()))
+            assert point_in_convex_polygon(p, verts, tol=tol)
 
 
 def test_hull_collinear_points_degenerate():
@@ -296,6 +305,21 @@ def test_ray_cycle_walks_the_facets_of_each_cell():
         for i in range(m):
             c = unit(np.cross(cycle[i], cycle[(i + 1) % m]))
             assert np.max(np.abs(cell.normals @ c)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ray_cycle_uses_the_incidence_extreme_rays_decided():
+    # cut a 1e-10 corner off a cell at ray r: the two new rays lie about
+    # 1e-10 from a plane they are not on, which extreme_rays tells apart at
+    # EPS_SIGN, so the cycle and the solid angle must accept the cone too
+    from conehull.arrangement import enumerate_cones
+
+    cell = enumerate_cones(np.random.default_rng(41).standard_normal((5, 3))).cells[0]
+    r, r2 = extreme_rays(cell)[:2]
+    near = unit(-unit(r2 - np.dot(r2, r) * r) + 1e-10 * r)
+    cone = PolyhedralCone(np.vstack([cell.normals, near]), np.append(cell.signs, -1))
+    assert len(extreme_rays(cell)) == 4 and len(ray_cycle(cone)) == 5
+    # the corner cut off has area of order 1e-20
+    assert solid_angle(cone) == pytest.approx(solid_angle(cell), rel=1e-9)
 
 
 # --- solid angles ----------------------------------------------------------
