@@ -27,8 +27,8 @@ from .geometry import (
     nullspace_direction,
 )
 
-# Above this many hyperplanes (ambient R^3 only) samplers switch from full
-# enumeration to the lazy uniform-cell path.
+# Most hyperplanes enumerate_cones accepts; by default the uniform-cell
+# sampler in R^3 walks one cell instead, at any n.
 ENUMERATION_LIMIT = 64
 
 
@@ -196,6 +196,11 @@ def cell_rays(data: RaySignData | FastRayData, pos, neg) -> np.ndarray:
     return np.concatenate([data.directions[pos], -data.directions[neg]], axis=0)
 
 
+def cell_incidence(data: RaySignData, pos, neg) -> tuple[tuple[int, ...], ...]:
+    """The hyperplanes through each ray of cell_rays(data, pos, neg), in order."""
+    return tuple(map(tuple, np.concatenate([data.subsets[pos], data.subsets[neg]]).tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -282,8 +287,7 @@ def enumerate_cones(normals) -> ConicalArrangement:
             rays = cell_rays(data, pos, neg)
             rays.setflags(write=False)
             cone._rays = rays
-            incident = np.concatenate([data.subsets[pos], data.subsets[neg]])
-            cone._ray_incidence = tuple(map(tuple, incident))
+            cone._ray_incidence = cell_incidence(data, pos, neg)
         cells.append(cone)
     return ConicalArrangement(normals=normals, cells=cells, ray_data=data)
 

@@ -7,7 +7,6 @@ in index order, so records are identical for any worker count.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -246,8 +245,3 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         obj = dict(obj)
         obj["n_sweep"] = tuple(obj["n_sweep"])
     return ExperimentConfig(**obj).validate()
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json(json.load(fh))

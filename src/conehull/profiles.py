@@ -28,6 +28,7 @@ from .geometry import (
     unit,
 )
 from .samplers import (
+    MAX_GENERICITY_RETRIES,
     ConeSample,
     pole,
     sample_s_minus_e,
@@ -190,7 +191,12 @@ def sample_Qn_star(
         assert cone is not None
         if not is_pointed(cone):
             continue
-        u = sample_uniform_in_cell(cone, rng)
+        for _ in range(MAX_GENERICITY_RETRIES):  # rounding can put u on a tiny cell's boundary
+            u = sample_uniform_in_cell(cone, rng)
+            if np.min(cone.effective_normals @ u) > EPS_SIGN:
+                break
+        else:
+            continue
         poly = cell_profile(cone.normals, cone.signs, u, scale=float(n))
         if poly is not None:
             return ProfileSample(

@@ -13,18 +13,18 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .arrangement import (
-    FastRayData,
     RaySignData,
+    cell_incidence,
     cell_ray_lines,
     cell_rays,
     enumerate_cones,
-    fast_ray_data,
     ray_sign_data,
     wendel_probability,
 )
 from .densities import omega
 from .errors import DegenerateInput, IterationCap, NonGeneric, NotPointed
 from .geometry import (
+    EPS_RANK,
     EPS_SIGN,
     PolyhedralCone,
     contains,
@@ -120,8 +120,8 @@ class ConeSample:
 
 def _uniform_cell_lazy(
     data: RaySignData, rng: np.random.Generator, max_trials: int = 1_000_000
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sign vector + rays of a uniformly chosen cell, without enumerating.
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Signs, rays and ray incidences of a uniform cell, without enumerating.
 
     Proposals are uniform over (ray line, orientation, corner signs), which
     hits each cell once per extreme ray; accepting with probability 1/f_0
@@ -138,29 +138,89 @@ def _uniform_cell_lazy(
         pos, neg = cell_ray_lines(data, s)
         f0 = int(np.count_nonzero(pos)) + int(np.count_nonzero(neg))
         if rng.random() * f0 < 1.0:
-            return s.astype(int), cell_rays(data, pos, neg)
+            return s.astype(int), cell_rays(data, pos, neg), cell_incidence(data, pos, neg)
     raise IterationCap("uniform cell sampling did not accept")
 
 
-def _uniform_cell_fast(
-    data: FastRayData, rng: np.random.Generator, max_trials: int = 1_000_000
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lazy uniform cell via one exact float32 mat-vec per proposal."""
-    L = len(data.subsets)
-    offcount = data.offcount
+def _unit_cross(a, b) -> tuple[float, float, float]:
+    c = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    nc = math.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+    if nc <= EPS_RANK:
+        raise NonGeneric("dependent hyperplane subset")
+    return (c[0] / nc, c[1] / nc, c[2] / nc)
+
+
+def _walk_cell(normals: np.ndarray, s: np.ndarray, i: int, j: int, r, u: float):
+    """Walk the boundary of the cell with signs s from its ray r on planes
+    i < j: from a ray on planes a and b, along plane a in the direction t
+    away from plane b, to the first plane met, argmin B_k / A_k with
+    A = s * (N r), B = s * (N t).  Returns the other rays' lines (lo, hi),
+    split by whether the ray is unit(n_lo x n_hi) (pos) or its negative
+    (neg); None once u * f_0 >= 1.
+    """
+    pos, neg = [], []
+    a, b, f0 = i, j, 1
+    while True:
+        na = normals[a].tolist()
+        t = _unit_cross(na, r)
+        A, B = (np.array((r, t)) @ normals.T) * s
+        if B[b] < 0:
+            B, t = -B, (-t[0], -t[1], -t[2])
+        A[a] = A[b] = 1.0
+        B[a] = B[b] = np.inf
+        if A.min() <= EPS_SIGN:
+            raise NonGeneric("walked ray is not strictly inside the other half-spaces")
+        c = int((B / A).argmin())
+        if a == j and c == i:
+            return pos, neg
+        f0 += 1
+        if u * f0 >= 1.0:
+            return None
+        if f0 > len(s):
+            raise NonGeneric("cell boundary walk did not close")
+        r = _unit_cross(na, normals[c].tolist())
+        forward = r[0] * t[0] + r[1] * t[1] + r[2] * t[2] > 0
+        r = r if forward else (-r[0], -r[1], -r[2])
+        (pos if forward == (a < c) else neg).append((min(a, c), max(a, c)))
+        a, b = c, a
+
+
+def _uniform_cell_local(
+    normals: np.ndarray, rng: np.random.Generator, max_trials: int = 1_000_000
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """Signs, rays and ray incidences of a uniform cell of n planes through
+    0 in R^3, at O(n) cost per walked vertex.  Proposals and the 1/f_0
+    acceptance are those of _uniform_cell_lazy.  The draws, in order: the
+    line l, the orientation, the signs of its planes i < j and the accept
+    draw u, taken before the walk so that it can stop once u * f_0 >= 1.
+    Rays and incidences come in the order of cell_rays.
+    """
+    n = normals.shape[0]
+    L = n * (n - 1) // 2
     for _ in range(max_trials):
-        l = int(rng.integers(L))
-        orient = 1.0 if rng.random() < 0.5 else -1.0
-        s = orient * data.signs[l]
-        i, j = data.subsets[l]
-        s[i] = 1.0 if rng.random() < 0.5 else -1.0
-        s[j] = 1.0 if rng.random() < 0.5 else -1.0
-        m = data.signs @ s
-        pos = m == offcount
-        neg = m == -offcount
-        f0 = int(np.count_nonzero(pos)) + int(np.count_nonzero(neg))
-        if rng.random() * f0 < 1.0:
-            return s.astype(int), cell_rays(data, pos, neg)
+        l = int(rng.integers(L))  # (i, j) in the row-major order of triu_indices(n, 1)
+        i = n - 2 - (math.isqrt(8 * (L - l) - 7) - 1) // 2
+        j = l + i + 1 - L + (n - i) * (n - i - 1) // 2
+        *flips, u = rng.random(4)
+        if u * 3 >= 1.0:  # every cell has f_0 >= 3
+            continue
+        orient, si, sj = (1 if x < 0.5 else -1 for x in flips)
+        v = _unit_cross(normals[i].tolist(), normals[j].tolist())
+        dots = normals @ v
+        if np.flatnonzero(np.abs(dots) <= EPS_SIGN).tolist() != [i, j]:
+            raise NonGeneric("a ray line lies on more hyperplanes than dimension allows")
+        s = np.where(dots > 0, orient, -orient)
+        s[i], s[j] = si, sj
+        walk = _walk_cell(normals, s, i, j, tuple(orient * x for x in v), u)
+        if walk is None:
+            continue
+        pos, neg = walk
+        (pos if orient > 0 else neg).append((i, j))
+        pairs = np.array(sorted(pos) + sorted(neg))
+        V = np.cross(normals[pairs[:, 0]], normals[pairs[:, 1]])
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        V[len(pos):] = -V[len(pos):]
+        return s, V, tuple(map(tuple, pairs.tolist()))
     raise IterationCap("uniform cell sampling did not accept")
 
 
@@ -182,24 +242,18 @@ def sample_schlaefli_cone(
         try:
             if method == "enumerate":
                 arr = enumerate_cones(normals)
-                idx = int(rng.integers(arr.n_cells))
-                cone = arr.cells[idx]
-                rays = cone._rays
-            elif n < D:
+                cone = arr.cells[int(rng.integers(arr.n_cells))]
+                return ConeSample(kind="schlaefli", generators=normals, cone=cone, rays=cone._rays)
+            if n < D:
                 raise DegenerateInput("lazy sampling needs n >= d+1")
-            elif D == 3:
-                data = fast_ray_data(normals)
-                signs, rays = _uniform_cell_fast(data, rng)
-                cone = PolyhedralCone(normals, signs)
-                rays.setflags(write=False)
-                cone._rays = rays
+            if D == 3:
+                signs, rays, incidence = _uniform_cell_local(normals, rng)
             else:
-                data = ray_sign_data(normals)
-                signs, rays = _uniform_cell_lazy(data, rng)
-                cone = PolyhedralCone(normals, signs)
-                rays = np.array(rays)
-                rays.setflags(write=False)
-                cone._rays = rays
+                signs, rays, incidence = _uniform_cell_lazy(ray_sign_data(normals), rng)
+            cone = PolyhedralCone(normals, signs)
+            rays.setflags(write=False)
+            cone._rays = rays
+            cone._ray_incidence = incidence
             return ConeSample(kind="schlaefli", generators=normals, cone=cone, rays=rays)
         except NonGeneric as exc:
             last = exc

@@ -18,10 +18,9 @@ from conehull.harness import ExperimentConfig, run_experiment, strip_runtime_col
 SEED = 42
 WORKERS = 1
 
-# Gate scales: spec-stated sizes, except that the main-theorem profile count
-# uses the spec's sanctioned reduction (>= 500) to keep the gate desk-scale,
-# and the importance-weighted moment checks use more (cheap) zero cells so
-# their stated SE bands are trustworthy against the heavy 1/vol tail.
+# Gate scales: spec-stated sizes, except that the importance-weighted moment
+# checks use more (cheap) zero cells so their stated SE bands are
+# trustworthy against the heavy 1/vol tail.
 GATE_OPTIONS = {
     "cone-count": {"cone_seeds": 100},
     "face-formula": {"face_seeds": 25},
@@ -30,7 +29,7 @@ GATE_OPTIONS = {
     "duality-chain": {"dual_reps": 2000, "pn_n": 10_000, "perms": 499},
     "main-theorem": {
         "qn_n": 256,
-        "qn_reps": 800,
+        "qn_reps": 2000,
         "typ_reps": 20_000,
         "energy_m": 800,
         "perms": 499,

@@ -36,6 +36,14 @@ def test_sample_jsonl_schema():
         assert rec["f_vector"][-1] == 1
 
 
+def test_sample_schlaefli_at_ten_thousand_planes():
+    proc = run_cli(["sample", "--kind", "schlaefli", "--n", "10000", "--reps", "1", "--seed", "5"])
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert len(rec["generators"]) == 10_000
+    assert rec["f_vector"][0] >= 3 and rec["f_vector"][0] == rec["f_vector"][1]
+
+
 def test_sample_cover_efron_reports_trials():
     proc = run_cli(["sample", "--kind", "cover-efron", "--d", "2", "--n", "6", "--reps", "4", "--seed", "3"])
     recs = [json.loads(x) for x in proc.stdout.strip().split("\n")]

@@ -221,6 +221,14 @@ def test_qn_star_vertex_count_equals_source_f0():
         assert s.polytope.n_vertices == extreme_rays(s.source.cone).shape[0]
 
 
+def test_qn_star_redraws_a_direction_on_a_tiny_cells_boundary():
+    # this stream's cell has sides of ~1e-7, and its first uniform direction
+    # lies 8e-17 from a facet, which cell_profile rejects as not interior
+    s = sample_Qn_star(256, 2, RngStream(5002, 10792).generator())
+    assert s.attempts == 1
+    assert s.polytope.n_vertices == s.source.rays.shape[0] == 3
+
+
 def test_qn_bounded_fraction_increases_with_n():
     rng = rng_for(10)
     fracs = []

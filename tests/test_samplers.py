@@ -163,10 +163,110 @@ def test_schlaefli_lazy_matches_enumerate_distribution():
     counts = np.zeros(arr.n_cells)
     draws = 8000
     for _ in range(draws):
-        s, rays = _uniform_cell_lazy(data, rng)
+        s = _uniform_cell_lazy(data, rng)[0]
         counts[index[tuple(s)]] += 1
     chi2 = float(((counts - draws / arr.n_cells) ** 2 / (draws / arr.n_cells)).sum())
     assert stats.chi2.sf(chi2, arr.n_cells - 1) > 1e-3
+
+
+def _matrix_uniform_cell(data, rng):
+    """Reference for the local kernel: the proposal loop over the float32
+    ray sign matrix of fast_ray_data, one mat-vec per proposal."""
+    from conehull.arrangement import cell_rays
+
+    L = len(data.subsets)
+    while True:
+        l = int(rng.integers(L))
+        orient = 1.0 if rng.random() < 0.5 else -1.0
+        s = orient * data.signs[l]
+        i, j = data.subsets[l]
+        s[i] = 1.0 if rng.random() < 0.5 else -1.0
+        s[j] = 1.0 if rng.random() < 0.5 else -1.0
+        m = data.signs @ s
+        pos = m == data.offcount
+        neg = m == -data.offcount
+        f0 = int(np.count_nonzero(pos)) + int(np.count_nonzero(neg))
+        if rng.random() * f0 < 1.0:
+            incident = np.concatenate([data.subsets[pos], data.subsets[neg]])
+            return s.astype(int), cell_rays(data, pos, neg), tuple(map(tuple, incident.tolist()))
+
+
+@pytest.mark.parametrize(
+    "n,seeds", [(3, 150), (4, 150), (5, 150), (8, 150), (16, 150), (64, 200), (128, 40), (256, 20)]
+)
+def test_local_cell_kernel_matches_ray_sign_matrix(n, seeds):
+    # same draws in the same order, so the same cell, bit-identical rays,
+    # the same incidences and the same generator state afterwards
+    from conehull.arrangement import fast_ray_data
+    from conehull.samplers import _uniform_cell_local
+
+    for seed in range(seeds):
+        normals = sample_uniform_sphere_batch(2, n, np.random.default_rng([n, seed]))
+        data = fast_ray_data(normals)
+        ref_rng = np.random.default_rng([seed, 1])
+        rng = np.random.default_rng([seed, 1])
+        for _ in range(2):
+            s_ref, rays_ref, inc_ref = _matrix_uniform_cell(data, ref_rng)
+            s, rays, inc = _uniform_cell_local(normals, rng)
+            assert np.array_equal(s, s_ref)
+            assert rays.tobytes() == rays_ref.tobytes()
+            assert inc == inc_ref
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_local_cell_kernel_matches_enumerate_distribution():
+    from conehull.samplers import _uniform_cell_local
+
+    rng = rng_for(40)
+    normals = sample_uniform_sphere_batch(2, 5, rng)
+    arr = enumerate_cones(normals)
+    index = {tuple(c.signs): i for i, c in enumerate(arr.cells)}
+    counts = np.zeros(arr.n_cells)
+    draws = 8000
+    for _ in range(draws):
+        s, rays, inc = _uniform_cell_local(normals, rng)
+        cell = arr.cells[index[tuple(s)]]
+        assert inc == cell._ray_incidence
+        np.testing.assert_allclose(rays, cell._rays, rtol=0, atol=1e-12)
+        counts[index[tuple(s)]] += 1
+    chi2 = float(((counts - draws / arr.n_cells) ** 2 / (draws / arr.n_cells)).sum())
+    assert stats.chi2.sf(chi2, arr.n_cells - 1) > 1e-3
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (2, 8), (3, 4), (3, 6), (3, 8)])
+def test_lazy_cells_cache_the_incidence_enumeration_caches(d, n):
+    rng = rng_for(41)
+    for _ in range(30):
+        s = sample_schlaefli_cone(n, d, rng, method="lazy")
+        arr = enumerate_cones(s.generators)
+        cell = arr.cells[arr._index()[tuple(s.cone.signs)]]
+        assert s.cone._ray_incidence == cell._ray_incidence
+        # enumerate_cones renormalizes the normals, so rays agree to rounding
+        np.testing.assert_allclose(s.rays, cell._rays, rtol=0, atol=1e-12)
+
+
+def test_schlaefli_cone_at_ten_thousand_planes():
+    import tracemalloc
+
+    from conehull.geometry import ray_cycle
+
+    rng = rng_for(42)
+    tracemalloc.start()
+    try:
+        samples = [sample_schlaefli_cone(10_000, 2, rng) for _ in range(2)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    for s in samples:
+        cone = s.cone
+        assert s.rays.shape[0] >= 3
+        dots = cone.effective_normals @ s.rays.T  # (n, f0)
+        for k, pair in enumerate(cone._ray_incidence):
+            on = np.nonzero(np.abs(dots[:, k]) <= 1e-12)[0]
+            assert tuple(on) == pair
+            assert np.delete(dots[:, k], on).min() > 0
+        assert ray_cycle(cone).shape == s.rays.shape
 
 
 def test_schlaefli_mean_alpha_is_inverse_cell_count():
