@@ -40,6 +40,7 @@ from .harness import (
     ResultRecord,
     map_replicates,
     register_experiment,
+    run_experiment,
 )
 from .profiles import sample_Pn_star, sample_Qn_star
 from .rng import RngStream, _mix
@@ -51,7 +52,7 @@ from .samplers import (
     sample_uniform_sphere_batch,
 )
 from .stats import Estimate, binomial_estimate, mean_estimate, ratio_estimate, two_sample_energy_test
-from .tessellation import feature_array, intensity_gamma, sample_typical_cell
+from .tessellation import feature_array, intensity_gamma, sample_typical_cell, sample_zero_cell
 
 PROFILES = {
     "full": dict(
@@ -313,8 +314,6 @@ def _pn_feature_rep(rng: np.random.Generator, r: int, n: int = 10_000) -> np.nda
 
 
 def _zero_feature_rep(rng: np.random.Generator, r: int, gamma: float = 0.5) -> np.ndarray:
-    from .tessellation import sample_zero_cell
-
     return feature_array(sample_zero_cell(2, gamma, rng).polytope)
 
 
@@ -660,8 +659,6 @@ def criterion_reproducibility(config: ExperimentConfig) -> list[ResultRecord]:
 def run_all(
     seed: int, workers: int = 1, profile: str = "full", criteria: list[str] | None = None
 ) -> list[ResultRecord]:
-    from .harness import run_experiment
-
     names = criteria if criteria is not None else CRITERIA
     records: list[ResultRecord] = []
     for name in names:

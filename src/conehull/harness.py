@@ -35,9 +35,6 @@ class ExperimentConfig:
     experiment: str
     d: int = 2
     n: int | None = None
-    n_sweep: tuple = ()
-    gamma: float | None = None
-    R: float | None = None
     reps: int = 1000
     seed: int = 0
     workers: int = 1
@@ -222,26 +219,3 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
         if r.runtime_ms == 0.0:
             r.runtime_ms = elapsed / max(len(records), 1)
     return records
-
-
-def config_from_json(obj: dict) -> ExperimentConfig:
-    known = {
-        "experiment",
-        "d",
-        "n",
-        "n_sweep",
-        "gamma",
-        "R",
-        "reps",
-        "seed",
-        "workers",
-        "se_band",
-        "options",
-    }
-    bad = set(obj) - known
-    if bad:
-        raise ConfigError(f"{sorted(bad)[0]}: unknown config field")
-    if "n_sweep" in obj:
-        obj = dict(obj)
-        obj["n_sweep"] = tuple(obj["n_sweep"])
-    return ExperimentConfig(**obj).validate()

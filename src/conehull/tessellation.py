@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .densities import gamma_intensity
 from .errors import DegenerateInput, EmptyWindow, IterationCap, ZeroVolume
@@ -34,6 +35,9 @@ intensity_gamma = gamma_intensity
 # (d+1)-subsets of facet constraints solved per batch in chebyshev_inradius;
 # bounds its work arrays for cells with many facets.
 _CHEBYSHEV_BLOCK = 2048
+# Fresh windows sample_typical_cell draws before it gives up on finding a
+# complete cell.
+MAX_WINDOW_RETRIES = 50
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,12 @@ def _sample_pht_shell(
     return [AffineHyperplane(dirs[i], float(dists[i])) for i in range(count)]
 
 
+def _plane_arrays(planes: list[AffineHyperplane], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The directions (m, d) and distances (m,) of a list of hyperplanes."""
+    normals = np.array([h.direction for h in planes]).reshape(-1, d)
+    return normals, np.array([h.distance for h in planes], dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # Planar polygon clipping
 # ---------------------------------------------------------------------------
@@ -100,25 +110,35 @@ def _box(R: float) -> np.ndarray:
     return np.array([[-R, -R], [R, -R], [R, R], [-R, R]], dtype=float)
 
 
-def clip_polygon(verts: np.ndarray, normal, offset: float, eps: float = 1e-12) -> np.ndarray:
+def clip_polygon(verts: np.ndarray, normal, offset: float) -> np.ndarray:
     """Intersection of a ccw convex polygon with {x : <normal, x> <= offset}."""
     if len(verts) == 0:
         return verts
-    normal = np.asarray(normal, dtype=float)
-    vals = verts @ normal - offset
-    out: list[np.ndarray] = []
-    m = len(verts)
-    for i in range(m):
-        a, va = verts[i], vals[i]
-        b, vb = verts[(i + 1) % m], vals[(i + 1) % m]
-        if va <= eps:
-            out.append(a)
-        if (va < -eps and vb > eps) or (va > eps and vb < -eps):
-            t = va / (va - vb)
-            out.append(a + t * (b - a))
-    if len(out) < 3:
-        return np.empty((0, 2))
-    return np.array(out)
+    vals = verts @ np.asarray(normal, dtype=float) - offset
+    return _split_polygon(verts, vals.tolist())[0]
+
+
+def _split_polygon(verts: np.ndarray, vals: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Both parts of a ccw convex polygon, where vals = <normal, x> - offset
+    at its vertices is <= EPS_SIGN and where it is >= -EPS_SIGN, in one
+    Sutherland-Hodgman pass; a part with under 3 vertices comes back empty.
+    The upper part is the lower part of -vals bit for bit: negation is
+    exact, and it leaves a cut edge's parameter va / (va - vb) unchanged.
+    """
+    pts = verts.tolist()
+    lo: list[list[float]] = []
+    hi: list[list[float]] = []
+    for a, va, b, vb in zip(pts, vals, pts[1:] + pts[:1], vals[1:] + vals[:1]):
+        if va <= EPS_SIGN:
+            lo.append(a)
+        if va >= -EPS_SIGN:
+            hi.append(a)
+        if (va < -EPS_SIGN and vb > EPS_SIGN) or (va > EPS_SIGN and vb < -EPS_SIGN):
+            s = va / (va - vb)
+            p = [a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1])]
+            lo.append(p)
+            hi.append(p)
+    return tuple(np.array(h) if len(h) >= 3 else np.empty((0, 2)) for h in (lo, hi))
 
 
 def intersect_halfplanes(
@@ -143,15 +163,7 @@ def _zero_cell_polytope(
 ) -> np.ndarray:
     """Vertices of the cell containing the origin, clipped to a box."""
     if d == 2:
-        if planes:
-            normals = np.array([h.direction for h in planes])
-            offsets = np.array([h.distance for h in planes])
-        else:
-            normals = np.empty((0, 2))
-            offsets = np.empty(0)
-        return intersect_halfplanes(normals, offsets, bound)
-    from scipy.spatial import HalfspaceIntersection
-
+        return intersect_halfplanes(*_plane_arrays(planes, d), bound)
     rows = [np.concatenate([h.direction, [-h.distance]]) for h in planes]
     for j in range(d):
         e = np.zeros(d + 1)
@@ -199,36 +211,51 @@ def sample_zero_cell(
 # ---------------------------------------------------------------------------
 
 
+def _window_polygons(normals: np.ndarray, offsets: np.ndarray, R: float) -> list[np.ndarray]:
+    """Vertex arrays of the cells that the lines {<u_i, x> = t_i} cut from
+    the box [-R, R]^2, in the lexicographic order of their sign vectors,
+    lower side first.
+
+    A line cuts only polygons that have vertices on both of its sides.  So
+    the per-polygon min and max of <u, x> - t over one flat vertex array,
+    widened by a slack far above rounding, pick the polygons that go to the
+    exact EPS_SIGN test; all others are kept as they are.
+    """
+    polys = [_box(R)]
+    slack = 1e-9 * R
+    for u, t in zip(normals, offsets):
+        starts = np.cumsum([0] + [len(p) for p in polys[:-1]])
+        vals = np.concatenate(polys) @ u - t
+        lo, hi = np.minimum.reduceat(vals, starts), np.maximum.reduceat(vals, starts)
+        # back to front, so that splicing in two halves keeps the indices
+        for k in np.flatnonzero((lo < slack) & (hi > -slack))[::-1]:
+            vk = (polys[k] @ u - t).tolist()
+            if max(vk) <= EPS_SIGN or min(vk) >= -EPS_SIGN:
+                continue
+            polys[k : k + 1] = [h for h in _split_polygon(polys[k], vk) if len(h)]
+    return polys
+
+
+def _window_sample(
+    d: int, gamma: float, R: float, rng: np.random.Generator
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The cells of a simulated window, and which of them lie strictly
+    inside B(0, R): only those are cells of the full tessellation."""
+    if d != 2:
+        raise DegenerateInput("window extraction implemented for d = 2")
+    polys = _window_polygons(*_plane_arrays(sample_pht(d, gamma, R, rng).hyperplanes, d), R)
+    starts = np.cumsum([0] + [len(p) for p in polys[:-1]])
+    norms = np.linalg.norm(np.concatenate(polys), axis=1)
+    return polys, np.maximum.reduceat(norms, starts) < R * (1.0 - 1e-12)
+
+
 def window_cells(
     d: int, gamma: float, R: float, rng: np.random.Generator
 ) -> list[Cell]:
     """All cells of a simulated window, flagged complete when they lie
     strictly inside B(0, R) (only those are cells of the full tessellation)."""
-    if d != 2:
-        raise DegenerateInput("window extraction implemented for d = 2")
-    sample = sample_pht(d, gamma, R, rng)
-    polys = [_box(R)]
-    for h in sample.hyperplanes:
-        nxt: list[np.ndarray] = []
-        for poly in polys:
-            vals = poly @ h.direction - h.distance
-            if np.all(vals <= EPS_SIGN):
-                nxt.append(poly)
-            elif np.all(vals >= -EPS_SIGN):
-                nxt.append(poly)
-            else:
-                lo = clip_polygon(poly, h.direction, h.distance)
-                hi = clip_polygon(poly, -h.direction, -h.distance)
-                if len(lo) >= 3:
-                    nxt.append(lo)
-                if len(hi) >= 3:
-                    nxt.append(hi)
-        polys = nxt
-    cells = []
-    for poly in polys:
-        complete = bool(np.max(np.linalg.norm(poly, axis=1)) < R * (1.0 - 1e-12))
-        cells.append(Cell(polytope=Polytope(2, poly), complete=complete))
-    return cells
+    polys, complete = _window_sample(d, gamma, R, rng)
+    return [Cell(polytope=Polytope(2, p), complete=bool(c)) for p, c in zip(polys, complete)]
 
 
 def uniform_point_in_polygon(verts_ccw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -257,7 +284,6 @@ def sample_typical_cell(
     rng: np.random.Generator,
     method: str = "importance",
     window_radius: float | None = None,
-    max_retries: int = 50,
 ) -> WeightedPolytope:
     """One draw for typical-cell averages.
 
@@ -275,11 +301,12 @@ def sample_typical_cell(
     if method != "window":
         raise DegenerateInput(f"unknown method {method!r}")
     R = window_radius if window_radius is not None else 20.0 / gamma
-    for _ in range(max_retries):
-        complete = [c for c in window_cells(d, gamma, R, rng) if c.complete]
+    for _ in range(MAX_WINDOW_RETRIES):
+        polys, flags = _window_sample(d, gamma, R, rng)
+        complete = [p for p, c in zip(polys, flags) if c]
         if complete:
-            cell = complete[int(rng.integers(len(complete)))]
-            verts = ccw_order(cell.polytope.vertices)
+            poly = complete[int(rng.integers(len(complete)))]
+            verts = ccw_order(Polytope(d, poly).vertices)
             v = uniform_point_in_polygon(verts, rng)
             return WeightedPolytope(
                 polytope=Polytope(d, verts - v), weight=1.0, method=method
@@ -346,9 +373,7 @@ def cell_features(p: Polytope) -> CellFeatures:
         normals, offsets = polygon_edge_normals(ordered)
         f_vector = (len(ordered), len(ordered))
     elif d == 3:
-        from scipy.spatial import ConvexHull as _Qhull
-
-        qh = _Qhull(verts)
+        qh = ConvexHull(verts)
         vol = float(qh.volume)
         # merge triangulated facets into planes
         planes: list[np.ndarray] = []

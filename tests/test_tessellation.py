@@ -6,7 +6,14 @@ from scipy import stats
 
 from conehull.densities import expected_typical_cell_volume, omega
 from conehull.errors import DegenerateInput
-from conehull.geometry import Polytope, ccw_order, point_in_convex_polygon, polytope_volume
+from conehull.geometry import (
+    EPS_SIGN,
+    Polytope,
+    ccw_order,
+    point_in_convex_polygon,
+    polygon_area,
+    polytope_volume,
+)
 from conehull.rng import RngStream
 from conehull.tessellation import (
     AffineHyperplane,
@@ -19,6 +26,9 @@ from conehull.tessellation import (
     sample_zero_cell,
     uniform_point_in_polygon,
     window_cells,
+    _sample_pht_shell,
+    _split_polygon,
+    _window_polygons,
     _zero_cell_polytope,
 )
 
@@ -231,6 +241,183 @@ def test_window_cells_cover_and_complete_flags():
     for c in cells:
         inside = np.max(np.linalg.norm(c.polytope.vertices, axis=1)) < 20.0
         assert c.complete == inside
+
+
+# --- window cells against the all-polygon loop ------------------------------
+#
+# The oracles below are the straightforward algorithms written out in full:
+# a Sutherland-Hodgman clip that keeps one side of a line, and a window loop
+# that tests every polygon against every line and clips a cut polygon twice.
+
+
+def _reference_clip(verts, normal, offset, eps=1e-12):
+    if len(verts) == 0:
+        return verts
+    vals = verts @ np.asarray(normal, dtype=float) - offset
+    out = []
+    m = len(verts)
+    for i in range(m):
+        a, va = verts[i], vals[i]
+        b, vb = verts[(i + 1) % m], vals[(i + 1) % m]
+        if va <= eps:
+            out.append(a)
+        if (va < -eps and vb > eps) or (va > eps and vb < -eps):
+            t = va / (va - vb)
+            out.append(a + t * (b - a))
+    if len(out) < 3:
+        return np.empty((0, 2))
+    return np.array(out)
+
+
+def _reference_window_polygons(normals, offsets, R):
+    polys = [np.array([[-R, -R], [R, -R], [R, R], [-R, R]], dtype=float)]
+    for u, t in zip(normals, offsets):
+        nxt = []
+        for poly in polys:
+            vals = poly @ u - t
+            if np.all(vals <= EPS_SIGN) or np.all(vals >= -EPS_SIGN):
+                nxt.append(poly)
+                continue
+            for half in (_reference_clip(poly, u, t), _reference_clip(poly, -u, -t)):
+                if len(half) >= 3:
+                    nxt.append(half)
+        polys = nxt
+    return polys
+
+
+def _reference_window_cells(gamma, R, rng):
+    planes = sample_pht(2, gamma, R, rng).hyperplanes
+    normals = np.array([h.direction for h in planes]).reshape(-1, 2)
+    offsets = np.array([h.distance for h in planes])
+    polys = _reference_window_polygons(normals, offsets, R)
+    return [(Polytope(2, p), bool(np.max(np.linalg.norm(p, axis=1)) < R * (1.0 - 1e-12))) for p in polys]
+
+
+def _reference_window_draw(gamma, R, rng):
+    """The cells of the first window, and the window draw."""
+    first = None
+    for _ in range(50):
+        cells = _reference_window_cells(gamma, R, rng)
+        first = first or cells
+        complete = [p for p, c in cells if c]
+        if complete:
+            verts = ccw_order(complete[int(rng.integers(len(complete)))].vertices)
+            return first, Polytope(2, verts - uniform_point_in_polygon(verts, rng))
+    raise AssertionError("no complete cell")
+
+
+def _state(rng):
+    return repr(rng.bit_generator.state)
+
+
+def _same_arrays(xs, ys):
+    return len(xs) == len(ys) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys)
+    )
+
+
+@pytest.mark.parametrize("R, streams", [(20.0, 100), (25.0, 70), (45.0, 30)])
+def test_window_matches_all_polygon_loop(R, streams):
+    # same cells in the same order, bit-identical vertices, same flags; and
+    # the same typical-cell draw with the generator left in the same state
+    for r in range(streams):
+        g_ref = RngStream(6100 + int(R), r).generator()
+        ref, expect = _reference_window_draw(0.5, R, g_ref)
+        cells = window_cells(2, 0.5, R, RngStream(6100 + int(R), r).generator())
+        assert _same_arrays([c.polytope.vertices for c in cells], [p.vertices for p, _ in ref])
+        assert [c.complete for c in cells] == [c for _, c in ref]
+
+        g = RngStream(6100 + int(R), r).generator()
+        w = sample_typical_cell(2, 0.5, g, method="window", window_radius=R)
+        assert _same_arrays([w.polytope.vertices], [expect.vertices])
+        assert _state(g) == _state(g_ref)
+
+
+def _unit(x, y):
+    v = np.array([x, y], dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _borderline_line_sets():
+    R = 10.0
+    s = 1.0 / math.sqrt(2.0)
+    grid = [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 2.0)]
+    u = _unit(1.0, 1.0)
+    through = float((np.array([[1.0, 2.0]]) @ u)[0])
+    sets = {
+        "box-corner": [(np.array([s, s]), float((np.array([[R, R]]) @ np.array([s, s]))[0]))],
+        "two-box-corners": [(np.array([s, -s]), 0.0)],
+        "existing-vertex": grid + [(u, through)],
+        "coincident": grid + [grid[0], (u, 0.5), (u, 0.5)],
+        "coincident-opposite": grid + [(-grid[0][0], -grid[0][1])],
+    }
+    # a line through the grid vertex (1, 2), shifted by up to a few EPS_SIGN:
+    # within EPS_SIGN the vertex counts as on the line, beyond it a sliver
+    # is cut off, and both must reach the exact test
+    for k in (-4, -2, -1.5, -1, -0.5, 0.5, 1, 1.5, 2, 4):
+        sets[f"vertex{k:+}eps"] = grid + [(u, through + k * EPS_SIGN)]
+        sets[f"corner{k:+}eps"] = [(np.array([s, s]), R * math.sqrt(2.0) + k * EPS_SIGN)]
+    return {
+        name: (np.array([l[0] for l in ls]), np.array([l[1] for l in ls]), R)
+        for name, ls in sets.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_borderline_line_sets()))
+def test_window_polygons_on_borderline_lines(name):
+    normals, offsets, R = _borderline_line_sets()[name]
+    got = _window_polygons(normals, offsets, R)
+    assert _same_arrays(got, _reference_window_polygons(normals, offsets, R))
+    assert sum(abs(polygon_area(ccw_order(p))) for p in got) == pytest.approx(4 * R * R, rel=1e-12)
+
+
+def _random_convex_polygon(rng):
+    m = int(rng.integers(3, 9))
+    ang = np.sort(rng.uniform(0.0, 2 * math.pi, m))
+    scale = 10.0 ** rng.uniform(-2, 2)
+    return scale * np.column_stack([np.cos(ang), np.sin(ang)]) + rng.normal(0.0, scale, 2)
+
+
+def test_split_polygon_equals_two_clips():
+    # lines through a vertex exactly (value 0), within and just beyond
+    # EPS_SIGN of it, and generic lines
+    rng = rng_for(31)
+    shifts = [0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 3.0, -3.0]
+    for _ in range(400):
+        poly = _random_convex_polygon(rng)
+        u = _unit(*rng.normal(size=2))
+        k = int(rng.integers(len(poly)))
+        for t in [float((poly @ u)[k]) + c * EPS_SIGN for c in shifts] + [float(u @ rng.normal(size=2))]:
+            vals = poly @ u - t
+            lo, hi = _split_polygon(poly, vals.tolist())
+            for clip in (_reference_clip, clip_polygon):
+                assert _same_arrays([lo, hi], [clip(poly, u, t), clip(poly, -u, -t)])
+
+
+def _reference_zero_cell(gamma, rng):
+    R = 5.0 / gamma
+    planes = _sample_pht_shell(2, gamma, 0.0, R, rng)
+    for _ in range(20):
+        poly = np.array([[-R, -R], [R, -R], [R, R], [-R, R]], dtype=float)
+        for h in planes:
+            poly = _reference_clip(poly, h.direction, h.distance)
+            if len(poly) == 0:
+                break
+        if len(poly) >= 3 and float(np.max(np.linalg.norm(poly, axis=1))) < R * (1.0 - 1e-12):
+            return Polytope(2, poly)
+        planes = planes + _sample_pht_shell(2, gamma, R, 2.0 * R, rng)
+        R *= 2.0
+    raise AssertionError("zero cell did not close")
+
+
+def test_importance_draws_match_reference_clip_loop():
+    for r in range(300):
+        g_ref, g = RngStream(6300, r).generator(), RngStream(6300, r).generator()
+        expect = _reference_zero_cell(0.5, g_ref)
+        w = sample_typical_cell(2, 0.5, g, method="importance")
+        assert _same_arrays([w.polytope.vertices], [expect.vertices])
+        assert w.weight == 1.0 / polytope_volume(expect)
+        assert _state(g) == _state(g_ref)
 
 
 # --- exact inradius -------------------------------------------------------
