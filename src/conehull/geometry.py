@@ -313,6 +313,15 @@ def nullspace_direction(rows: np.ndarray) -> np.ndarray:
     return v
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def cross_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of (k, 3) arrays: np.cross's arithmetic without
+    its axis handling, which costs more than the products for a few rows."""
+    return p[:, _NEXT] * q[:, _PREV] - p[:, _PREV] * q[:, _NEXT]
+
+
 def extreme_rays(cone: PolyhedralCone) -> np.ndarray:
     """Unit extreme rays of a pointed full-dimensional cone, one per row.
 
@@ -358,25 +367,25 @@ def extreme_rays(cone: PolyhedralCone) -> np.ndarray:
 def _extreme_rays_3d(cone: PolyhedralCone) -> np.ndarray:
     """Vectorized ray enumeration for ambient dimension 3."""
     n = cone.n_hyperplanes
-    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=int)
-    V = np.cross(cone.normals[pairs[:, 0]], cone.normals[pairs[:, 1]])
+    idx = np.arange(n)
+    i, j = np.nonzero(idx[:, None] < idx)  # pairs i < j, in itertools.combinations order
+    V = cross_rows(cone.normals[i], cone.normals[j])
     norms = np.linalg.norm(V, axis=1)
     if np.any(norms <= EPS_RANK):
         raise NonGeneric("dependent hyperplane subset")
     V /= norms[:, None]
     dots = V @ cone.effective_normals.T  # (L, n)
-    L = len(pairs)
-    inc = np.zeros((L, n), dtype=bool)
-    rows = np.repeat(np.arange(L), 2)
-    inc[rows, pairs.ravel()] = True
-    if np.any((np.abs(dots) <= EPS_SIGN) & ~inc):
+    rows = np.arange(len(i))
+    dots[rows, i] = dots[rows, j] = 0.0  # a line's own planes count on neither side
+    above = np.count_nonzero(dots > EPS_SIGN, axis=1)
+    below = np.count_nonzero(dots < -EPS_SIGN, axis=1)
+    if np.any(above + below < n - 2):
         raise NonGeneric("candidate ray lies on more hyperplanes than dimension allows")
-    off_masked = np.where(inc, np.nan, dots)
-    pos = np.nanmin(off_masked, axis=1) > 0
-    neg = np.nanmax(off_masked, axis=1) < 0
+    pos = above == n - 2
+    neg = below == n - 2
     rays = np.concatenate([V[pos], -V[neg]], axis=0)
-    incid = [tuple(pairs[i]) for i in np.nonzero(pos)[0]]
-    incid += [tuple(pairs[i]) for i in np.nonzero(neg)[0]]
+    incid = list(zip(i[pos].tolist(), j[pos].tolist()))
+    incid += zip(i[neg].tolist(), j[neg].tolist())
     rays.setflags(write=False)
     cone._rays = rays
     cone._ray_incidence = tuple(incid)
@@ -437,17 +446,18 @@ def ray_cycle(cone: PolyhedralCone) -> np.ndarray:
     m = rays.shape[0]
     if m < 3:
         raise DegenerateInput("full-dimensional pointed 3-d cone needs >= 3 rays")
-    inc = np.zeros((m, cone.n_hyperplanes), dtype=bool)
+    on_plane: dict[int, list[int]] = {}
     for i, T in enumerate(ray_incidence(cone)):
-        inc[i, list(T)] = True
-    per_plane = inc.sum(axis=0)
-    if np.any(per_plane > 2):
+        for j in T:
+            on_plane.setdefault(j, []).append(i)
+    if any(len(v) > 2 for v in on_plane.values()):
         raise NonGeneric("hyperplane incident to more than two rays")
     adj: list[list[int]] = [[] for _ in range(m)]
-    for j in np.nonzero(per_plane == 2)[0]:
-        a, b = np.nonzero(inc[:, j])[0]
-        adj[a].append(int(b))
-        adj[b].append(int(a))
+    for j in sorted(on_plane):
+        if len(on_plane[j]) == 2:
+            a, b = on_plane[j]
+            adj[a].append(b)
+            adj[b].append(a)
     if any(len(v) != 2 for v in adj):
         raise NonGeneric("ray adjacency is not a cycle")
     order = [0, adj[0][0]]
@@ -461,28 +471,26 @@ def ray_cycle(cone: PolyhedralCone) -> np.ndarray:
     return rays[order]
 
 
-def spherical_polygon_area(ordered_rays: np.ndarray) -> float:
-    """Area of a convex spherical polygon from its vertex directions in order.
+def spherical_triangle_areas(ordered_rays: np.ndarray) -> np.ndarray:
+    """Areas of the fan triangles (v_0, v_i, v_i+1), i = 1..m-2, of a convex
+    spherical polygon with vertex directions in order: 2 atan2(|a.(b x c)|,
+    1 + a.b + b.c + c.a) (Van Oosterom & Strackee 1983), with the triple
+    product taken as a.((b - a) x (c - a)) to keep tiny cells precise."""
+    v = np.asarray(ordered_rays, dtype=float)
+    edges = np.concatenate((v[1:], v[:1])) - v
+    if (np.einsum("ij,ij->i", edges, edges) <= EPS_SIGN**2).any():
+        raise NonGeneric("coincident neighbor rays")
+    a = v[0]
+    spokes = v[1:] - a
+    det = cross_rows(spokes[:-1], spokes[1:]) @ a
+    to_a = v @ a
+    denom = 1.0 + to_a[1:-1] + np.einsum("ij,ij->i", v[1:-1], v[2:]) + to_a[2:]
+    return 2.0 * np.arctan2(np.abs(det), denom)
 
-    Gauss-Bonnet for geodesic polygons: area equals the angle sum minus
-    (m - 2) * pi.
-    """
-    m = ordered_rays.shape[0]
-    total = 0.0
-    for i in range(m):
-        v = ordered_rays[i]
-        a = ordered_rays[(i - 1) % m]
-        b = ordered_rays[(i + 1) % m]
-        ta = a - np.dot(a, v) * v
-        tb = b - np.dot(b, v) * v
-        na = np.linalg.norm(ta)
-        nb = np.linalg.norm(tb)
-        if na <= EPS_SIGN or nb <= EPS_SIGN:
-            raise NonGeneric("coincident neighbor rays")
-        ta /= na
-        tb /= nb
-        total += math.atan2(float(np.linalg.norm(np.cross(ta, tb))), float(np.dot(ta, tb)))
-    return total - (m - 2) * math.pi
+
+def spherical_polygon_area(ordered_rays: np.ndarray) -> float:
+    """Area of a convex spherical polygon from its vertex directions in order."""
+    return float(spherical_triangle_areas(ordered_rays).sum())
 
 
 def solid_angle(cone: PolyhedralCone) -> float:

@@ -178,9 +178,11 @@ def map_replicates(fn, reps: int, seed: int, workers: int = 1, block: int = 64) 
 
     Output order and content are independent of the worker count; the only
     requirement on fn is picklability (module-level function or partial).
+    A block holds at most a quarter of a worker's share of the replicates.
     """
-    if workers <= 1 or reps < 2 * block:
+    if workers <= 1 or reps < 2:
         return [fn(RngStream(seed, r).generator(), r) for r in range(reps)]
+    block = min(block, -(-reps // (4 * workers)))
     blocks = [(seed, lo, min(lo + block, reps)) for lo in range(0, reps, block)]
     results: list = []
     with ProcessPoolExecutor(

@@ -28,10 +28,12 @@ from .geometry import (
     EPS_SIGN,
     PolyhedralCone,
     contains,
+    cross_rows,
     extreme_rays,
     interior_point,
     is_pointed,
     ray_cycle,
+    spherical_triangle_areas,
     unit,
 )
 
@@ -217,7 +219,7 @@ def _uniform_cell_local(
         pos, neg = walk
         (pos if orient > 0 else neg).append((i, j))
         pairs = np.array(sorted(pos) + sorted(neg))
-        V = np.cross(normals[pairs[:, 0]], normals[pairs[:, 1]])
+        V = cross_rows(normals[pairs[:, 0]], normals[pairs[:, 1]])
         V /= np.linalg.norm(V, axis=1)[:, None]
         V[len(pos):] = -V[len(pos):]
         return s, V, tuple(map(tuple, pairs.tolist()))
@@ -347,27 +349,15 @@ def polar_of_r_n(sample: ConeSample) -> PolyhedralCone:
 # ---------------------------------------------------------------------------
 
 
-def _spherical_triangle_area(A, B, C) -> float:
-    """Spherical excess in the half-tangent form, stable for tiny triangles
-    where the angle sum would cancel catastrophically."""
-    det = float(np.dot(A, np.cross(B, C)))
-    denom = 1.0 + float(np.dot(A, B)) + float(np.dot(B, C)) + float(np.dot(A, C))
-    return 2.0 * math.atan2(abs(det), denom)
-
-
-def _sample_spherical_triangle(A, B, C, rng: np.random.Generator) -> np.ndarray:
-    """Exact uniform point in a spherical triangle (Arvo's construction)."""
+def _sample_spherical_triangle(A, B, C, area: float, rng: np.random.Generator) -> np.ndarray:
+    """Exact uniform point in a spherical triangle of the given area (Arvo's
+    construction)."""
     cos_c = float(np.dot(A, B))
-
-    def angle_at(P, Q, R):
-        tq = Q - np.dot(Q, P) * P
-        tr = R - np.dot(R, P) * P
-        tq /= np.linalg.norm(tq)
-        tr /= np.linalg.norm(tr)
-        return math.atan2(float(np.linalg.norm(np.cross(tq, tr))), float(np.dot(tq, tr)))
-
-    alpha = angle_at(A, B, C)
-    area = _spherical_triangle_area(A, B, C)
+    tb = B - np.dot(B, A) * A  # unit tangents at A towards B and C
+    ortho = C - np.dot(C, A) * A
+    tb /= np.linalg.norm(tb)
+    ortho /= np.linalg.norm(ortho)
+    alpha = math.atan2(float(np.linalg.norm(np.cross(tb, ortho))), float(np.dot(tb, ortho)))
     xi1 = rng.random()
     xi2 = rng.random()
     a_hat = xi1 * area
@@ -380,8 +370,6 @@ def _sample_spherical_triangle(A, B, C, rng: np.random.Generator) -> np.ndarray:
         return np.array(A)
     q = ((v * t - u * s) * math.cos(alpha) - v) / denom
     q = min(1.0, max(-1.0, q))
-    ortho = C - np.dot(C, A) * A
-    ortho /= np.linalg.norm(ortho)
     c_hat = q * A + math.sqrt(max(0.0, 1.0 - q * q)) * ortho
     z = 1.0 - xi2 * (1.0 - float(np.dot(c_hat, B)))
     z = min(1.0, max(-1.0, z))
@@ -417,15 +405,12 @@ def sample_uniform_in_cell(
         return unit(u)
     if D == 3:
         ordered = ray_cycle(cone)
-        m = ordered.shape[0]
-        tris = [(ordered[0], ordered[i], ordered[i + 1]) for i in range(1, m - 1)]
-        areas = np.array([_spherical_triangle_area(*t) for t in tris])
-        areas = np.maximum(areas, 0.0)
+        areas = spherical_triangle_areas(ordered)
         total = float(areas.sum())
         if total <= 0.0:
             raise DegenerateInput("cell has vanishing spherical area")
-        k = int(rng.choice(len(tris), p=areas / total))
-        return _sample_spherical_triangle(*tris[k], rng)
+        k = int(rng.choice(len(areas), p=areas / total))
+        return _sample_spherical_triangle(ordered[0], ordered[k + 1], ordered[k + 2], areas[k], rng)
     # cap rejection for higher dimensions
     center = unit(rays.sum(axis=0))
     cosmax = float(np.min(rays @ center))

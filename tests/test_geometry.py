@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,10 @@ from conehull.errors import (
     OriginNotInterior,
     TiedFirstCoordinate,
 )
+from conehull.arrangement import enumerate_cones
 from conehull.geometry import (
+    EPS_RANK,
+    EPS_SIGN,
     PolyhedralCone,
     Polytope,
     ccw_order,
@@ -25,12 +29,15 @@ from conehull.geometry import (
     polar_polytope,
     polytope_volume,
     ray_cycle,
+    ray_incidence,
     solid_angle,
     solid_angle_mc,
+    spherical_polygon_area,
+    spherical_triangle_areas,
     unit,
 )
 from conehull.rng import RngStream
-from conehull.samplers import sample_cauchy_points
+from conehull.samplers import sample_cauchy_points, sample_s_minus_e, sample_schlaefli_cone
 
 
 def rotation2(theta):
@@ -374,6 +381,192 @@ def test_cell_angles_of_arrangement_sum_to_one():
         count += 1
     assert count == 14  # C(4,3) cells
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _pyramid(a, b, rotation=None):
+    """The right rectangular pyramid {|x1| <= a x3, |x2| <= b x3}, whose
+    solid angle is 4 asin(ab / sqrt((1 + a^2)(1 + b^2))) exactly."""
+    normals = np.array([[-1.0, 0.0, a], [1.0, 0.0, a], [0.0, -1.0, b], [0.0, 1.0, b]])
+    if rotation is not None:
+        normals = normals @ rotation.T
+    exact = 4.0 * math.asin(a * b / math.sqrt((1.0 + a * a) * (1.0 + b * b)))
+    return PolyhedralCone(normals, np.ones(4, dtype=int)), exact / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "a,b", [(1.0, 1.0), (1e-2, 1e-2), (1e-4, 1e-4), (1e-6, 1e-6), (1e-7, 1e-7), (0.3, 1e-5), (2.0, 1e-7)]
+)
+def test_pyramid_solid_angle_is_exact_in_tiny_cells(a, b):
+    # the Gauss-Bonnet angle sum cancels catastrophically here (relative
+    # error 4e-9 at a = b = 1e-4, 9e-5 at 1e-6, 8e-4 at 1e-7)
+    cone, exact = _pyramid(a, b)
+    assert solid_angle(cone) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("a", [1e-2, 1e-4, 1e-6])
+def test_rotated_pyramid_solid_angle_keeps_the_rays_precision(a):
+    # rotated, the rays carry absolute rounding errors of ~1e-16, which
+    # bound the relative precision of an area of order a^2 by ~1e-16 / a;
+    # the angle sum loses another factor 1 / a^2 (relative error > 1 at 1e-6)
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        cone, exact = _pyramid(a, a, q * np.sign(np.diag(r)))
+        assert solid_angle(cone) == pytest.approx(exact, rel=1e-14 / a, abs=0)
+
+
+def test_fan_areas_sum_to_the_polygon_area():
+    rng = np.random.default_rng(44)
+    for n in (3, 4, 8, 32, 256):
+        for k in range(10):
+            cone = sample_schlaefli_cone(n, 2, RngStream(4400 + n, k).generator()).cone
+            cycle = ray_cycle(cone)
+            areas = spherical_triangle_areas(cycle)
+            assert areas.shape == (len(cycle) - 2,) and np.all(areas > 0)
+            assert spherical_polygon_area(cycle) == float(areas.sum())
+            # a fan from another vertex covers the same polygon
+            shifted = np.roll(cycle, int(rng.integers(1, len(cycle))), axis=0)
+            assert spherical_polygon_area(shifted) == pytest.approx(float(areas.sum()), rel=1e-12)
+
+
+def test_fan_areas_reject_coincident_neighbor_rays():
+    rays = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0]])
+    with pytest.raises(NonGeneric, match="coincident"):
+        spherical_triangle_areas(rays / np.linalg.norm(rays, axis=1)[:, None])
+
+
+# --- the vectorized ray code against the loops it replaced -----------------
+# _reference_extreme_rays_3d pairs planes through itertools.combinations and
+# masks each line's own planes with an (L, n) boolean matrix;
+# _reference_ray_cycle builds the (m, n) boolean ray-plane matrix.  The
+# package code must give bit-identical rays and cycles and equal incidences.
+
+
+def _reference_extreme_rays_3d(cone):
+    n = cone.n_hyperplanes
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=int)
+    V = np.cross(cone.normals[pairs[:, 0]], cone.normals[pairs[:, 1]])
+    norms = np.linalg.norm(V, axis=1)
+    if np.any(norms <= EPS_RANK):
+        raise NonGeneric("dependent hyperplane subset")
+    V /= norms[:, None]
+    dots = V @ cone.effective_normals.T
+    L = len(pairs)
+    inc = np.zeros((L, n), dtype=bool)
+    inc[np.repeat(np.arange(L), 2), pairs.ravel()] = True
+    if np.any((np.abs(dots) <= EPS_SIGN) & ~inc):
+        raise NonGeneric("candidate ray lies on more hyperplanes than dimension allows")
+    off_masked = np.where(inc, np.nan, dots)
+    pos = np.nanmin(off_masked, axis=1) > 0
+    neg = np.nanmax(off_masked, axis=1) < 0
+    rays = np.concatenate([V[pos], -V[neg]], axis=0)
+    incid = [tuple(pairs[i]) for i in np.nonzero(pos)[0]]
+    incid += [tuple(pairs[i]) for i in np.nonzero(neg)[0]]
+    return rays, tuple(incid)
+
+
+def _reference_ray_cycle(rays, incidence, n):
+    m = rays.shape[0]
+    inc = np.zeros((m, n), dtype=bool)
+    for i, T in enumerate(incidence):
+        inc[i, list(T)] = True
+    per_plane = inc.sum(axis=0)
+    if np.any(per_plane > 2):
+        raise NonGeneric("hyperplane incident to more than two rays")
+    adj = [[] for _ in range(m)]
+    for j in np.nonzero(per_plane == 2)[0]:
+        a, b = np.nonzero(inc[:, j])[0]
+        adj[a].append(int(b))
+        adj[b].append(int(a))
+    if any(len(v) != 2 for v in adj):
+        raise NonGeneric("ray adjacency is not a cycle")
+    order = [0, adj[0][0]]
+    while len(order) < m:
+        nxt = [j for j in adj[order[-1]] if j != order[-2]]
+        if len(nxt) != 1:
+            raise NonGeneric("ray adjacency is not a cycle")
+        order.append(nxt[0])
+    if len(set(order)) != m:
+        raise NonGeneric("ray adjacency is not a single cycle")
+    return rays[order]
+
+
+def _identity_cells():
+    """Walk cells for n = 3..64, pole cells and every cell of a few
+    enumerated arrangements: 670 cells."""
+    for n in range(3, 65):
+        for k in range(6):
+            yield sample_schlaefli_cone(n, 2, RngStream(4500 + n, k).generator()).cone
+    for n in (3, 4, 8, 16, 32, 64):
+        for k in range(20):
+            yield sample_s_minus_e(n, 2, RngStream(4600 + n, k).generator()).cone
+    for n in (3, 4, 5, 6, 7, 8):
+        yield from enumerate_cones(np.random.default_rng([4700, n]).standard_normal((n, 3))).cells
+
+
+def _assert_same(xs, ys):
+    assert xs.shape == ys.shape and xs.tobytes() == ys.tobytes()
+
+
+def test_ray_code_matches_the_loops_it_replaced():
+    count = 0
+    for cone in _identity_cells():
+        n = cone.n_hyperplanes
+        if cone._rays is not None:  # walk and enumeration caches
+            _assert_same(ray_cycle(cone), _reference_ray_cycle(cone._rays, cone._ray_incidence, n))
+        fresh = PolyhedralCone(cone.normals, cone.signs)
+        rays_ref, incid_ref = _reference_extreme_rays_3d(fresh)
+        _assert_same(extreme_rays(fresh), rays_ref)
+        assert ray_incidence(fresh) == incid_ref
+        assert all(type(i) is int for T in ray_incidence(fresh) for i in T)
+        _assert_same(ray_cycle(fresh), _reference_ray_cycle(rays_ref, incid_ref, n))
+        count += 1
+    assert count == 670
+
+
+def _raises_the_same(fn, ref):
+    with pytest.raises(NonGeneric) as got:
+        fn()
+    with pytest.raises(NonGeneric) as want:
+        ref()
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "normals",
+    [
+        # three planes through the x3 axis, and a fourth
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.3, -0.2, 1.0]],
+        # the ray of planes 0 and 1, (0, 0, 1), lies on plane 2
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, -2.0, 0.0], [0.2, 0.3, 1.0], [-0.4, 0.1, 1.0]],
+        # ... and within EPS_SIGN / 2 of plane 2
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 5e-13], [0.2, 0.3, 1.0]],
+        # two equal planes
+        [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ],
+)
+def test_ray_enumeration_raises_where_the_loop_raised(normals):
+    signs = np.ones(len(normals), dtype=int)
+    _raises_the_same(
+        lambda: extreme_rays(PolyhedralCone(normals, signs)),
+        lambda: _reference_extreme_rays_3d(PolyhedralCone(normals, signs)),
+    )
+
+
+@pytest.mark.parametrize(
+    "incidence",
+    [
+        ((0, 1), (1, 2), (1, 3), (0, 3)),  # plane 1 holds three rays
+        ((0, 1), (1, 2), (2, 0), (3, 4)),  # a ray with no neighbour
+        ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)),  # two cycles
+    ],
+)
+def test_ray_cycle_raises_where_the_matrix_raised(incidence):
+    rng = np.random.default_rng(45)
+    cone = PolyhedralCone(rng.standard_normal((6, 3)), np.ones(6, dtype=int))
+    rays = rng.standard_normal((len(incidence), 3))
+    cone._rays, cone._ray_incidence = rays, incidence
+    _raises_the_same(lambda: ray_cycle(cone), lambda: _reference_ray_cycle(rays, incidence, 6))
 
 
 # --- polytope plumbing -----------------------------------------------------

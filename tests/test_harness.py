@@ -101,6 +101,48 @@ def test_map_replicates_deterministic_across_workers():
     a = map_replicates(_noise, 100, seed=5, workers=1)
     b = map_replicates(_noise, 100, seed=5, workers=3, block=16)
     assert a == b
+    for reps in (1, 7, 80, 150):
+        serial = [_noise(RngStream(5, r).generator(), r) for r in range(reps)]
+        for workers in (1, 2, 3):
+            assert map_replicates(_noise, reps, seed=5, workers=workers) == serial
+
+
+def test_short_maps_split_over_every_worker(monkeypatch):
+    # blocks shrink to a quarter of a worker's share; a pool that runs the
+    # blocks in this process records their sizes
+    import conehull.harness as harness
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            sizes.append([hi - lo for _, lo, hi in blocks])
+            return map(fn, blocks)
+
+    monkeypatch.setattr(harness, "_WORKER_FN", None)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    expect = {
+        (1, 2): None,
+        (7, 2): [1] * 7,
+        (80, 2): [10] * 8,
+        (150, 2): [19] * 7 + [17],
+        (150, 3): [13] * 11 + [7],
+        (1000, 2): [64] * 15 + [40],
+    }
+    for (reps, workers), blocks in expect.items():
+        sizes.clear()
+        out = harness.map_replicates(_noise, reps, seed=5, workers=workers)
+        assert out == [_noise(RngStream(5, r).generator(), r) for r in range(reps)]
+        assert sizes == ([] if blocks is None else [blocks])
 
 
 def test_map_replicates_streams_are_replicate_indexed():
