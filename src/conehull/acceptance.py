@@ -1,17 +1,16 @@
 """The acceptance suite: every gate criterion as a named experiment.
 
 Each criterion yields ResultRecords with an estimate, a standard error, a
-target and a pass flag at its stated tolerance.  Scales come in two
-profiles: "full" runs the gate sizes, "quick" is a fast smoke profile used
-for determinism checks and CI.  Per-replicate randomness always derives
-from (seed, criterion, replicate), so records are reproducible for any
-worker count.
+target and a pass flag at its stated tolerance, built by one of three
+helpers: an exact failure count, an estimate with a k-SE band, or an
+energy-test p-value at level 0.01.  Sizes come from harness.PROFILES.
+Per-replicate randomness always derives from (seed, criterion, replicate),
+so records are reproducible for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -36,6 +35,7 @@ from .densities import (
 from .errors import TiedFirstCoordinate
 from .geometry import Polytope, convex_hull, extreme_rays, polar_polytope, solid_angle
 from .harness import (
+    PROFILES,
     ExperimentConfig,
     ResultRecord,
     map_replicates,
@@ -54,45 +54,6 @@ from .samplers import (
 from .stats import Estimate, binomial_estimate, mean_estimate, ratio_estimate, two_sample_energy_test
 from .tessellation import feature_array, intensity_gamma, sample_typical_cell, sample_zero_cell
 
-PROFILES = {
-    "full": dict(
-        cone_seeds=100,
-        face_seeds=25,
-        wendel_reps=100_000,
-        size_bias_reps=20_000,
-        dual_reps=2000,
-        qn_n=256,
-        qn_reps=2000,
-        typ_reps=20_000,
-        energy_m=800,
-        perms=499,
-        l1_reps=1500,
-        beta_reps=2000,
-        beta_n=10_000,
-        pn_n=10_000,
-        window_R=45.0,
-        repro_reps=192,
-    ),
-    "quick": dict(
-        cone_seeds=6,
-        face_seeds=3,
-        wendel_reps=6000,
-        size_bias_reps=1200,
-        dual_reps=150,
-        qn_n=64,
-        qn_reps=80,
-        typ_reps=4000,
-        energy_m=80,
-        perms=199,
-        l1_reps=150,
-        beta_reps=150,
-        beta_n=2000,
-        pn_n=2000,
-        window_R=25.0,
-        repro_reps=64,
-    ),
-}
-
 CRITERIA = [
     "cone-count",
     "face-formula",
@@ -107,30 +68,52 @@ CRITERIA = [
 ]
 
 
-def _knobs(config: ExperimentConfig) -> dict:
-    profile = config.options.get("profile", "full")
-    knobs = dict(PROFILES[profile])
-    knobs.update({k: v for k, v in config.options.items() if k in knobs})
-    return knobs
-
-
 def _seed_for(config: ExperimentConfig, tag: int) -> int:
     return _mix(config.seed, CRITERIA.index(config.experiment) * 1000 + tag)
 
 
-def _exact_record(config, name, failures: int, total: int, d=None, n=None) -> ResultRecord:
+def _exact_record(config, name, failures: int, total: int, d: int = 2, n=None) -> ResultRecord:
+    """A count of failed exact checks; its zero-width band covers 0 only at zero."""
+    return _band_record(config, name, Estimate(float(failures), 0.0), 0.0, total, n=n, d=d)
+
+
+def _band_record(
+    config, name, est: Estimate, target, reps: int, n=None, k: float = 4.0, d: int = 2, passed=None
+) -> ResultRecord:
+    """An estimate with its k-SE band; it passes if the band covers the
+    target, unless the caller decides the pass flag."""
+    lo, hi = est.ci(k)
     return ResultRecord(
         experiment=name,
-        d=d if d is not None else config.d,
+        d=d,
         n=n,
-        reps=total,
+        reps=reps,
         seed=config.seed,
-        estimate=float(failures),
-        std_error=0.0,
-        ci_low=float(failures),
-        ci_high=float(failures),
-        exact_target=0.0,
-        passed=failures == 0,
+        estimate=est.value,
+        std_error=est.std_error,
+        ci_low=lo,
+        ci_high=hi,
+        exact_target=target,
+        passed=est.covers(target, k) if passed is None else passed,
+    )
+
+
+def _energy_record(config, name, a, b, tag: int, n=None) -> ResultRecord:
+    """Energy two-sample test of a against b; passes at p >= 0.01."""
+    rng = RngStream(_seed_for(config, tag), 0).generator()
+    _, p = two_sample_energy_test(a, b, PROFILES[config.profile]["perms"], rng)
+    return ResultRecord(
+        experiment=name,
+        d=2,
+        n=n,
+        reps=len(a),
+        seed=config.seed,
+        estimate=p,
+        std_error=None,
+        ci_low=None,
+        ci_high=None,
+        exact_target=0.01,
+        passed=p >= 0.01,
     )
 
 
@@ -141,8 +124,7 @@ def _exact_record(config, name, failures: int, total: int, d=None, n=None) -> Re
 
 @register_experiment("cone-count")
 def criterion_cone_count(config: ExperimentConfig) -> list[ResultRecord]:
-    knobs = _knobs(config)
-    seeds = knobs["cone_seeds"]
+    seeds = PROFILES[config.profile]["cone_seeds"]
     records = []
     for d in (1, 2, 3):
         failures = 0
@@ -169,8 +151,7 @@ def criterion_cone_count(config: ExperimentConfig) -> list[ResultRecord]:
 
 @register_experiment("face-formula")
 def criterion_face_formula(config: ExperimentConfig) -> list[ResultRecord]:
-    knobs = _knobs(config)
-    seeds = knobs["face_seeds"]
+    seeds = PROFILES[config.profile]["face_seeds"]
     failures = 0
     total = 0
     for n in range(3, 9):
@@ -225,8 +206,7 @@ def _wendel_hits_d2(n: int, reps: int, rng: np.random.Generator, chunk: int = 20
 
 @register_experiment("wendel")
 def criterion_wendel(config: ExperimentConfig) -> list[ResultRecord]:
-    knobs = _knobs(config)
-    reps = knobs["wendel_reps"]
+    reps = PROFILES[config.profile]["wendel_reps"]
     cases = [(1, 3), (2, 6), (2, 4)]
     records = []
     for idx, (d, n) in enumerate(cases):
@@ -235,13 +215,9 @@ def criterion_wendel(config: ExperimentConfig) -> list[ResultRecord]:
             hits = _wendel_hits_d1(n, reps, rng)
         else:
             hits = _wendel_hits_d2(n, reps, rng)
-        est = binomial_estimate(hits, reps)
         target = float(wendel_probability(n, d))
-        records.append(
-            ResultRecord.from_estimate(
-                replace(config, reps=reps, d=d), "wendel", est, exact_target=target, n=n
-            )
-        )
+        est = binomial_estimate(hits, reps)
+        records.append(_band_record(config, "wendel", est, target, reps, n=n, d=d))
     return records
 
 
@@ -263,8 +239,7 @@ def _size_bias_rep(rng: np.random.Generator, r: int, n: int = 8) -> tuple:
 
 @register_experiment("size-bias")
 def criterion_size_bias(config: ExperimentConfig) -> list[ResultRecord]:
-    knobs = _knobs(config)
-    reps = knobs["size_bias_reps"]
+    reps = PROFILES[config.profile]["size_bias_reps"]
     records = []
     for n in (4, 8, 16):
         rows = map_replicates(
@@ -274,23 +249,8 @@ def criterion_size_bias(config: ExperimentConfig) -> list[ResultRecord]:
         for col, fname in ((0, "one"), (1, "alpha"), (2, "f0")):
             lhs = mean_estimate(arr[:, col])
             rhs = mean_estimate(arr[:, col + 3])
-            joint_se = math.hypot(lhs.std_error, rhs.std_error)
-            diff = lhs.value - rhs.value
-            records.append(
-                ResultRecord(
-                    experiment=f"size-bias[f={fname}]",
-                    d=2,
-                    n=n,
-                    reps=reps,
-                    seed=config.seed,
-                    estimate=diff,
-                    std_error=joint_se,
-                    ci_low=diff - 4 * joint_se,
-                    ci_high=diff + 4 * joint_se,
-                    exact_target=0.0,
-                    passed=abs(diff) <= 4 * joint_se,
-                )
-            )
+            diff = Estimate(lhs.value - rhs.value, math.hypot(lhs.std_error, rhs.std_error))
+            records.append(_band_record(config, f"size-bias[f={fname}]", diff, 0.0, reps, n=n))
     return records
 
 
@@ -299,14 +259,18 @@ def criterion_size_bias(config: ExperimentConfig) -> list[ResultRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _polar_pi_feature_rep(rng: np.random.Generator, r: int) -> np.ndarray:
+def _pi_hull(rng: np.random.Generator) -> Polytope:
+    """Hull of one planar Poisson hull process draw, redrawn on a tie."""
     while True:
         pts = sample_poisson_Pi(2, rng)
         try:
-            hull = convex_hull(pts, 2)
-            return feature_array(polar_polytope(hull))
+            return convex_hull(pts, 2)
         except TiedFirstCoordinate:  # pragma: no cover - probability 0
             continue
+
+
+def _polar_pi_feature_rep(rng: np.random.Generator, r: int) -> np.ndarray:
+    return feature_array(polar_polytope(_pi_hull(rng)))
 
 
 def _pn_feature_rep(rng: np.random.Generator, r: int, n: int = 10_000) -> np.ndarray:
@@ -319,9 +283,8 @@ def _zero_feature_rep(rng: np.random.Generator, r: int, gamma: float = 0.5) -> n
 
 @register_experiment("duality-chain")
 def criterion_duality_chain(config: ExperimentConfig) -> list[ResultRecord]:
-    knobs = _knobs(config)
+    knobs = PROFILES[config.profile]
     reps = knobs["dual_reps"]
-    perms = knobs["perms"]
     gamma = intensity_gamma(2)
     pn = np.array(
         map_replicates(partial(_pn_feature_rep, n=knobs["pn_n"]), reps, _seed_for(config, 51), config.workers)
@@ -331,28 +294,10 @@ def criterion_duality_chain(config: ExperimentConfig) -> list[ResultRecord]:
         map_replicates(partial(_zero_feature_rep, gamma=gamma), reps, _seed_for(config, 53), config.workers)
     )
     pi_b = np.array(map_replicates(_polar_pi_feature_rep, reps, _seed_for(config, 54), config.workers))
-    records = []
-    for name, a, b, tag in (
-        ("duality-chain[pn-vs-polar-pi]", pn, pi_a, 55),
-        ("duality-chain[zero-vs-polar-pi]", z0, pi_b, 56),
-    ):
-        _, p = two_sample_energy_test(a, b, perms, RngStream(_seed_for(config, tag), 0).generator())
-        records.append(
-            ResultRecord(
-                experiment=name,
-                d=2,
-                n=knobs["pn_n"] if "pn" in name else None,
-                reps=reps,
-                seed=config.seed,
-                estimate=p,
-                std_error=None,
-                ci_low=None,
-                ci_high=None,
-                exact_target=0.01,
-                passed=p >= 0.01,
-            )
-        )
-    return records
+    return [
+        _energy_record(config, "duality-chain[pn-vs-polar-pi]", pn, pi_a, 55, n=knobs["pn_n"]),
+        _energy_record(config, "duality-chain[zero-vs-polar-pi]", z0, pi_b, 56),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +321,7 @@ def _window_feature_rep(rng: np.random.Generator, r: int, gamma: float = 0.5, R:
 
 @register_experiment("main-theorem")
 def criterion_main_theorem(config: ExperimentConfig) -> list[ResultRecord]:
-    knobs = _knobs(config)
+    knobs = PROFILES[config.profile]
     gamma = intensity_gamma(2)
     n = knobs["qn_n"]
     qn = np.array(
@@ -391,41 +336,19 @@ def criterion_main_theorem(config: ExperimentConfig) -> list[ResultRecord]:
         )
     )
     weights = typ[:, 4]
-    records = []
-
     qn_f0 = mean_estimate(qn[:, 1])
-    records.append(
-        ResultRecord.from_estimate(
-            replace(config, reps=knobs["qn_reps"]), "main-theorem[qn-mean-f0]", qn_f0,
-            exact_target=4.0, n=n,
-        )
-    )
+    records = [_band_record(config, "main-theorem[qn-mean-f0]", qn_f0, 4.0, knobs["qn_reps"], n=n)]
     # importance-weighted typical-cell moments (self-normalized)
     ratio_f0 = ratio_estimate(typ[:, 1] * weights, weights)
     records.append(
-        ResultRecord.from_estimate(
-            replace(config, reps=knobs["typ_reps"]), "main-theorem[typical-mean-f0]", ratio_f0,
-            exact_target=4.0, n=n,
-        )
+        _band_record(config, "main-theorem[typical-mean-f0]", ratio_f0, 4.0, knobs["typ_reps"], n=n)
     )
     # E vol(Z) = 1 / mean(1/vol(Z_0)); pass within 3 SE of c_2
     inv = mean_estimate(weights)
     vol_est = Estimate(value=1.0 / inv.value, std_error=inv.std_error / inv.value**2)
     c2 = expected_typical_cell_volume(2)
     records.append(
-        ResultRecord(
-            experiment="main-theorem[typical-mean-area]",
-            d=2,
-            n=n,
-            reps=knobs["typ_reps"],
-            seed=config.seed,
-            estimate=vol_est.value,
-            std_error=vol_est.std_error,
-            ci_low=vol_est.value - 3 * vol_est.std_error,
-            ci_high=vol_est.value + 3 * vol_est.std_error,
-            exact_target=c2,
-            passed=abs(vol_est.value - c2) <= 3 * vol_est.std_error,
-        )
+        _band_record(config, "main-theorem[typical-mean-area]", vol_est, c2, knobs["typ_reps"], n=n, k=3)
     )
     # distributional test against unweighted window-method typical cells
     m = min(knobs["energy_m"], len(qn))
@@ -437,24 +360,7 @@ def criterion_main_theorem(config: ExperimentConfig) -> list[ResultRecord]:
             config.workers,
         )
     )
-    _, p = two_sample_energy_test(
-        qn[:m, :4], win, knobs["perms"], RngStream(_seed_for(config, 64), 0).generator()
-    )
-    records.append(
-        ResultRecord(
-            experiment="main-theorem[joint-two-sample]",
-            d=2,
-            n=n,
-            reps=m,
-            seed=config.seed,
-            estimate=p,
-            std_error=None,
-            ci_low=None,
-            ci_high=None,
-            exact_target=0.01,
-            passed=p >= 0.01,
-        )
-    )
+    records.append(_energy_record(config, "main-theorem[joint-two-sample]", qn[:m, :4], win, 64, n=n))
     return records
 
 
@@ -472,58 +378,25 @@ def _rotated_square_rep() -> CoordinateRep:
 
 
 def _l1_rep(rng: np.random.Generator, r: int, ns: tuple = (100, 1000, 10_000)) -> tuple:
-    while True:
-        pts = sample_poisson_Pi(2, rng)
-        try:
-            rep = CoordinateRep(2, convex_hull(pts, 2).vertices)
-            break
-        except TiedFirstCoordinate:  # pragma: no cover
-            continue
+    rep = CoordinateRep(2, _pi_hull(rng).vertices)
     base = log_eval_phi(rep)
     return tuple(abs(math.exp(log_eval_phi_n(rep, n) - base) - 1.0) for n in ns)
 
 
 @register_experiment("density-convergence")
 def criterion_density_convergence(config: ExperimentConfig) -> list[ResultRecord]:
-    knobs = _knobs(config)
+    reps = PROFILES[config.profile]["l1_reps"]
     rep = _rotated_square_rep()
-    ratio = math.exp(log_eval_phi_n(rep, 100_000) - log_eval_phi(rep))
-    records = [
-        ResultRecord(
-            experiment="density-convergence[pointwise]",
-            d=2,
-            n=100_000,
-            reps=1,
-            seed=config.seed,
-            estimate=abs(ratio - 1.0),
-            std_error=0.0,
-            ci_low=abs(ratio - 1.0),
-            ci_high=abs(ratio - 1.0),
-            exact_target=0.01,
-            passed=abs(ratio - 1.0) <= 0.01,
-        )
-    ]
+    err = abs(math.exp(log_eval_phi_n(rep, 100_000) - log_eval_phi(rep)) - 1.0)
+    name = "density-convergence[pointwise]"
+    records = [_band_record(config, name, Estimate(err, 0.0), 0.01, 1, n=100_000, passed=err <= 0.01)]
     ns = (100, 1000, 10_000)
-    rows = np.array(
-        map_replicates(partial(_l1_rep, ns=ns), knobs["l1_reps"], _seed_for(config, 7), config.workers)
-    )
+    rows = np.array(map_replicates(partial(_l1_rep, ns=ns), reps, _seed_for(config, 7), config.workers))
     ests = [mean_estimate(rows[:, i]) for i in range(len(ns))]
     decreasing = all(ests[i].value > ests[i + 1].value for i in range(len(ns) - 1))
-    for i, n in enumerate(ns):
+    for est, n in zip(ests, ns):
         records.append(
-            ResultRecord(
-                experiment="density-convergence[l1]",
-                d=2,
-                n=n,
-                reps=knobs["l1_reps"],
-                seed=config.seed,
-                estimate=ests[i].value,
-                std_error=ests[i].std_error,
-                ci_low=ests[i].value - 4 * ests[i].std_error,
-                ci_high=ests[i].value + 4 * ests[i].std_error,
-                exact_target=None,
-                passed=decreasing,
-            )
+            _band_record(config, "density-convergence[l1]", est, None, reps, n=n, passed=decreasing)
         )
     return records
 
@@ -537,22 +410,10 @@ def criterion_density_convergence(config: ExperimentConfig) -> list[ResultRecord
 def criterion_closed_forms(config: ExperimentConfig) -> list[ResultRecord]:
     records = []
 
-    def check(name, value, target, tol, n=None):
-        err = abs(value - target)
+    def check(name, value, target, tol):
+        passed = abs(value - target) <= tol
         records.append(
-            ResultRecord(
-                experiment=f"closed-forms[{name}]",
-                d=config.d,
-                n=n,
-                reps=1,
-                seed=config.seed,
-                estimate=value,
-                std_error=0.0,
-                ci_low=value,
-                ci_high=value,
-                exact_target=target,
-                passed=err <= tol,
-            )
+            _band_record(config, f"closed-forms[{name}]", Estimate(value, 0.0), target, 1, passed=passed)
         )
 
     for r in (0.5, 1.0, 2.0):
@@ -583,38 +444,18 @@ def _beta_f0_rep(rng: np.random.Generator, r: int, n: int = 10_000) -> float:
 
 
 def _pi_f0_rep(rng: np.random.Generator, r: int) -> float:
-    while True:
-        pts = sample_poisson_Pi(2, rng)
-        try:
-            return float(convex_hull(pts, 2).n_vertices)
-        except TiedFirstCoordinate:  # pragma: no cover
-            continue
+    return float(_pi_hull(rng).n_vertices)
 
 
 @register_experiment("beta-hull-limit")
 def criterion_beta_hull_limit(config: ExperimentConfig) -> list[ResultRecord]:
-    knobs = _knobs(config)
+    knobs = PROFILES[config.profile]
     reps = knobs["beta_reps"]
     a = np.array(
         map_replicates(partial(_beta_f0_rep, n=knobs["beta_n"]), reps, _seed_for(config, 91), config.workers)
     )
     b = np.array(map_replicates(_pi_f0_rep, reps, _seed_for(config, 92), config.workers))
-    _, p = two_sample_energy_test(a, b, knobs["perms"], RngStream(_seed_for(config, 93), 0).generator())
-    return [
-        ResultRecord(
-            experiment="beta-hull-limit",
-            d=2,
-            n=knobs["beta_n"],
-            reps=reps,
-            seed=config.seed,
-            estimate=p,
-            std_error=None,
-            ci_low=None,
-            ci_high=None,
-            exact_target=0.01,
-            passed=p >= 0.01,
-        )
-    ]
+    return [_energy_record(config, "beta-hull-limit", a, b, 93, n=knobs["beta_n"])]
 
 
 # ---------------------------------------------------------------------------
@@ -628,27 +469,11 @@ def _repro_rep(rng: np.random.Generator, r: int) -> float:
 
 @register_experiment("harness-reproducibility")
 def criterion_reproducibility(config: ExperimentConfig) -> list[ResultRecord]:
-    knobs = _knobs(config)
-    reps = knobs["repro_reps"]
+    reps = PROFILES[config.profile]["repro_reps"]
     seed = _seed_for(config, 10)
     serial = map_replicates(_repro_rep, reps, seed, workers=1)
     parallel = map_replicates(_repro_rep, reps, seed, workers=2, block=16)
-    identical = serial == parallel
-    return [
-        ResultRecord(
-            experiment="harness-reproducibility",
-            d=2,
-            n=None,
-            reps=reps,
-            seed=config.seed,
-            estimate=0.0 if identical else 1.0,
-            std_error=0.0,
-            ci_low=0.0,
-            ci_high=0.0,
-            exact_target=0.0,
-            passed=identical,
-        )
-    ]
+    return [_exact_record(config, "harness-reproducibility", int(serial != parallel), reps)]
 
 
 # ---------------------------------------------------------------------------
@@ -662,10 +487,7 @@ def run_all(
     names = criteria if criteria is not None else CRITERIA
     records: list[ResultRecord] = []
     for name in names:
-        config = ExperimentConfig(
-            experiment=name, seed=seed, workers=workers, options={"profile": profile}
-        )
-        records.extend(run_experiment(config))
+        records.extend(run_experiment(ExperimentConfig(name, seed, workers, profile)))
     return records
 
 

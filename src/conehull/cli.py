@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .acceptance import CRITERIA, PROFILES, all_passed, format_record_line, run_all
+from .acceptance import CRITERIA, all_passed, format_record_line, run_all
 from .arrangement import arrangement_face_census, enumerate_cones, schlaefli_count
 from .densities import (
     Ball,
@@ -32,7 +32,7 @@ from .densities import (
 )
 from .errors import ConehullError, ConfigError, NotPointed
 from .geometry import Polytope, face_counts_spherical
-from .harness import records_to_csv
+from .harness import PROFILES, records_to_csv
 from .profiles import sample_Pn_star, sample_Qn_star
 from .rng import RngStream
 from .samplers import (

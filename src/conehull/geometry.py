@@ -330,10 +330,15 @@ def extreme_rays(cone: PolyhedralCone) -> np.ndarray:
     """
     if cone._rays is not None:
         return cone._rays
-    D = cone.ambient_dim
-    n = cone.n_hyperplanes
     if not is_pointed(cone):
         raise NotPointed("cone contains a line; extreme rays are undefined")
+    return _pointed_rays(cone)
+
+
+def _pointed_rays(cone: PolyhedralCone) -> np.ndarray:
+    """extreme_rays for a cone already known to be pointed."""
+    D = cone.ambient_dim
+    n = cone.n_hyperplanes
     W = cone.effective_normals
     if D == 3:
         return _extreme_rays_3d(cone)
@@ -393,13 +398,9 @@ def _extreme_rays_3d(cone: PolyhedralCone) -> np.ndarray:
 
 
 def ray_incidence(cone: PolyhedralCone) -> tuple[tuple[int, ...], ...]:
-    rays = extreme_rays(cone)
-    if cone._ray_incidence is None:
-        incid = []
-        for r in rays:
-            on = np.nonzero(np.abs(cone.normals @ r) <= EPS_SIGN * 10)[0]
-            incid.append(tuple(int(i) for i in on))
-        cone._ray_incidence = tuple(incid)
+    """The hyperplanes through each extreme ray; every writer of the ray
+    cache writes this one too."""
+    extreme_rays(cone)
     return cone._ray_incidence
 
 
@@ -500,13 +501,16 @@ def solid_angle(cone: PolyhedralCone) -> float:
     normalized angle is invariant under adding a linear space.
     """
     D = cone.ambient_dim
-    r = int(np.linalg.matrix_rank(cone.normals, tol=EPS_RANK))
-    if r == 0:
-        return 1.0
-    if r < D:
-        _, _, vt = np.linalg.svd(cone.normals)
-        basis = vt[:r]
-        return solid_angle(PolyhedralCone(cone.normals @ basis.T, cone.signs))
+    if cone._rays is None:  # cached rays prove the cone pointed
+        r = int(np.linalg.matrix_rank(cone.normals, tol=EPS_RANK))
+        if r == 0:
+            return 1.0
+        if r < D:
+            _, _, vt = np.linalg.svd(cone.normals)
+            basis = vt[:r]
+            return solid_angle(PolyhedralCone(cone.normals @ basis.T, cone.signs))
+        if D in (2, 3):
+            _pointed_rays(cone)  # r == D: pointed, so skip extreme_rays' rank
     if D == 1:
         w = cone.effective_normals[:, 0]
         if np.all(w > 0) or np.all(w < 0):

@@ -30,26 +30,62 @@ CSV_COLUMNS = [
 ]
 
 
+# Named size presets of the acceptance criteria: "full" runs the gate
+# sizes, "quick" is a fast smoke profile for determinism checks and CI.
+PROFILES = {
+    "full": dict(
+        cone_seeds=100,
+        face_seeds=25,
+        wendel_reps=100_000,
+        size_bias_reps=20_000,
+        dual_reps=2000,
+        qn_n=256,
+        qn_reps=2000,
+        typ_reps=20_000,
+        energy_m=800,
+        perms=499,
+        l1_reps=1500,
+        beta_reps=2000,
+        beta_n=10_000,
+        pn_n=10_000,
+        window_R=45.0,
+        repro_reps=192,
+    ),
+    "quick": dict(
+        cone_seeds=6,
+        face_seeds=3,
+        wendel_reps=6000,
+        size_bias_reps=1200,
+        dual_reps=150,
+        qn_n=64,
+        qn_reps=80,
+        typ_reps=4000,
+        energy_m=80,
+        perms=199,
+        l1_reps=150,
+        beta_reps=150,
+        beta_n=2000,
+        pn_n=2000,
+        window_R=25.0,
+        repro_reps=64,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    d: int = 2
-    n: int | None = None
-    reps: int = 1000
     seed: int = 0
     workers: int = 1
-    se_band: float = 4.0
-    options: dict = field(default_factory=dict)
+    profile: str = "full"
 
     def validate(self) -> "ExperimentConfig":
         if not self.experiment:
             raise ConfigError("experiment: name must be nonempty")
-        if self.d < 1:
-            raise ConfigError("d: must be >= 1")
-        if self.reps < 1:
-            raise ConfigError("reps: must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers: must be >= 1")
+        if self.profile not in PROFILES:
+            raise ConfigError(f"profile: unknown profile {self.profile!r}")
         return self
 
 
@@ -67,38 +103,13 @@ class ResultRecord:
     exact_target: float | None
     passed: bool | None
     runtime_ms: float = 0.0
+    # when the record was built; run_experiment turns these into runtimes
+    built_at: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # a numpy bool would print as True/False and is not `False`
         if self.passed is not None:
             self.passed = bool(self.passed)
-
-    @classmethod
-    def from_estimate(
-        cls,
-        config: ExperimentConfig,
-        name: str,
-        estimate,
-        exact_target: float | None = None,
-        n=None,
-        passed: bool | None = None,
-    ) -> "ResultRecord":
-        lo, hi = estimate.ci(config.se_band)
-        if passed is None and exact_target is not None:
-            passed = estimate.covers(exact_target, config.se_band)
-        return cls(
-            experiment=name,
-            d=config.d,
-            n=n if n is not None else config.n,
-            reps=config.reps,
-            seed=config.seed,
-            estimate=estimate.value,
-            std_error=estimate.std_error,
-            ci_low=lo,
-            ci_high=hi,
-            exact_target=exact_target,
-            passed=passed,
-        )
 
     def csv_row(self, include_runtime: bool = True) -> str:
         def fmt(v):
@@ -209,15 +220,19 @@ def register_experiment(name: str):
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
-    """Dispatch a named experiment; records carry wall-clock runtimes."""
+    """Dispatch a named experiment.
+
+    A record's runtime is the wall time from the previous record of its
+    experiment (the first: from the start) to its own construction, so work
+    shared by several records is charged to the first of them.
+    """
     config.validate()
     fn = EXPERIMENTS.get(config.experiment)
     if fn is None:
         raise ConfigError(f"experiment: unknown name {config.experiment!r}")
-    t0 = time.perf_counter()
+    last = time.perf_counter()
     records = fn(config)
-    elapsed = (time.perf_counter() - t0) * 1000.0
     for r in records:
-        if r.runtime_ms == 0.0:
-            r.runtime_ms = elapsed / max(len(records), 1)
+        r.runtime_ms = (r.built_at - last) * 1000.0
+        last = r.built_at
     return records

@@ -1,14 +1,16 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Runs the named acceptance experiments at the gate scales and prints one
-pass/fail line per criterion.  The reproducibility criterion drives the
-installed CLI end to end and byte-compares its CSV output (runtime column
-excluded) across repeated runs and worker counts.
+Runs the named acceptance experiments at the sizes of PROFILES["full"] and
+prints one pass/fail line per criterion.  The reproducibility criterion
+drives the installed CLI end to end and byte-compares its CSV output
+(runtime column excluded) across repeated runs and worker counts, and with
+the committed quick-profile records of tests/data.
 """
 
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,35 +20,11 @@ from conehull.harness import ExperimentConfig, run_experiment, strip_runtime_col
 SEED = 42
 WORKERS = 1
 
-# Gate scales: spec-stated sizes, except that the importance-weighted moment
-# checks use more (cheap) zero cells so their stated SE bands are
-# trustworthy against the heavy 1/vol tail.
-GATE_OPTIONS = {
-    "cone-count": {"cone_seeds": 100},
-    "face-formula": {"face_seeds": 25},
-    "wendel": {"wendel_reps": 100_000},
-    "size-bias": {"size_bias_reps": 20_000},
-    "duality-chain": {"dual_reps": 2000, "pn_n": 10_000, "perms": 499},
-    "main-theorem": {
-        "qn_n": 256,
-        "qn_reps": 2000,
-        "typ_reps": 20_000,
-        "energy_m": 800,
-        "perms": 499,
-        "window_R": 45.0,
-    },
-    "density-convergence": {"l1_reps": 1500},
-    "closed-forms": {},
-    "beta-hull-limit": {"beta_reps": 2000, "beta_n": 10_000, "perms": 499},
-    "harness-reproducibility": {"repro_reps": 192},
-}
+GOLDEN = Path(__file__).parent / "data" / "verify_quick_seed42.csv"
 
 
 def run_criterion(name):
-    options = {"profile": "full"}
-    options.update(GATE_OPTIONS[name])
-    config = ExperimentConfig(experiment=name, seed=SEED, workers=WORKERS, options=options)
-    records = run_experiment(config)
+    records = run_experiment(ExperimentConfig(experiment=name, seed=SEED, workers=WORKERS, profile="full"))
     for rec in records:
         print(format_record_line(rec))
     return records
@@ -93,7 +71,8 @@ def _run_verify(seed, workers, out_path):
 
 
 def test_criterion_cli_reproducibility(tmp_path):
-    """`conehull verify --seed 42` twice, workers 1 and 8: identical CSVs."""
+    """`conehull verify --seed 42` twice, workers 1 and 8: identical CSVs,
+    equal to the committed records (a change of draws updates that file)."""
     runs = {}
     for tag, workers in (("a1", 1), ("a2", 1), ("b1", 8), ("b2", 8)):
         csv_text, rc = _run_verify(42, workers, tmp_path / f"{tag}.csv")
@@ -102,3 +81,4 @@ def test_criterion_cli_reproducibility(tmp_path):
     assert runs["a1"] == runs["a2"], "repeat run with workers=1 differs"
     assert runs["b1"] == runs["b2"], "repeat run with workers=8 differs"
     assert runs["a1"] == runs["b1"], "worker count changed the records"
+    assert runs["a1"] == GOLDEN.read_text(encoding="utf-8"), "records differ from " + GOLDEN.name

@@ -364,6 +364,37 @@ def test_mc_solid_angle_within_4se_of_exact():
     assert abs(est - exact) <= 4 * se
 
 
+def test_solid_angle_computes_rank_once_and_not_for_cached_rays(monkeypatch):
+    # cached rays prove a cone pointed; for an uncached cone one rank
+    # decides pointedness for both the angle and the ray enumeration
+    builders = [
+        orthant3,
+        lambda: _pyramid(0.3, 0.2)[0],
+        lambda: PolyhedralCone(np.eye(2), np.ones(2, dtype=int)),
+    ]
+    expect = [solid_angle(build()) for build in builders]
+    calls = []
+    rank = np.linalg.matrix_rank
+
+    def counting_rank(*args, **kwargs):
+        calls.append(1)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
+    for build, value in zip(builders, expect):
+        fresh = build()
+        calls.clear()
+        assert solid_angle(fresh) == value
+        assert len(calls) == 1
+        calls.clear()
+        assert solid_angle(fresh) == value  # its rays are cached now
+        assert calls == []
+    s = sample_schlaefli_cone(8, 2, RngStream(4, 0).generator())
+    calls.clear()
+    solid_angle(s.cone)
+    assert calls == []
+
+
 def test_cell_angles_of_arrangement_sum_to_one():
     rng = np.random.default_rng(37)
     normals = rng.standard_normal((4, 3))

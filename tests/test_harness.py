@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -157,13 +158,24 @@ def test_map_replicates_streams_are_replicate_indexed():
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="", seed=1).validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="x", reps=0).validate()
+    with pytest.raises(ConfigError, match="profile"):
+        ExperimentConfig(experiment="x", profile="fast").validate()
 
 
 def test_unknown_experiment_raises():
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig(experiment="no-such-thing"))
+
+
+def test_runtime_is_measured_per_record():
+    # each wendel case draws and counts its own sample before its record
+    t0 = time.perf_counter()
+    records = run_experiment(ExperimentConfig(experiment="wendel", seed=3, profile="quick"))
+    wall = (time.perf_counter() - t0) * 1000.0
+    runtimes = [r.runtime_ms for r in records]
+    assert len(runtimes) == 3 and len(set(runtimes)) > 1
+    assert min(runtimes) > 0.0
+    assert sum(runtimes) == pytest.approx(wall, rel=0.1)
 
 
 def test_csv_roundtrip_and_runtime_strip():
