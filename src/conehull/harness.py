@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -171,17 +172,13 @@ def strip_runtime_column(csv_text: str) -> str:
 # Replicate-parallel map
 # ---------------------------------------------------------------------------
 
-_WORKER_FN = None
-
-
-def _init_worker(fn):
-    global _WORKER_FN
-    _WORKER_FN = fn
+# The pool of the enclosing `run_pool` block; every map inside it uses it.
+_RUN_POOL = None
 
 
 def _run_block(args):
-    seed, lo, hi = args
-    return [_WORKER_FN(RngStream(seed, r).generator(), r) for r in range(lo, hi)]
+    fn, seed, lo, hi = args
+    return [fn(RngStream(seed, r).generator(), r) for r in range(lo, hi)]
 
 
 def map_replicates(fn, reps: int, seed: int, workers: int = 1, block: int = 64) -> list:
@@ -190,18 +187,33 @@ def map_replicates(fn, reps: int, seed: int, workers: int = 1, block: int = 64) 
     Output order and content are independent of the worker count; the only
     requirement on fn is picklability (module-level function or partial).
     A block holds at most a quarter of a worker's share of the replicates.
+    Inside a `run_pool` block the map runs on that pool, else on its own.
     """
     if workers <= 1 or reps < 2:
         return [fn(RngStream(seed, r).generator(), r) for r in range(reps)]
     block = min(block, -(-reps // (4 * workers)))
-    blocks = [(seed, lo, min(lo + block, reps)) for lo in range(0, reps, block)]
-    results: list = []
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(fn,)
-    ) as pool:
-        for chunk in pool.map(_run_block, blocks):
-            results.extend(chunk)
-    return results
+    blocks = [(fn, seed, lo, min(lo + block, reps)) for lo in range(0, reps, block)]
+    shared = _RUN_POOL
+    pool_cm = ProcessPoolExecutor(max_workers=workers) if shared is None else nullcontext(shared)
+    with pool_cm as pool:
+        return [x for chunk in pool.map(_run_block, blocks) for x in chunk]
+
+
+@contextmanager
+def run_pool(workers: int):
+    """One process pool for every map_replicates call in the block, from any
+    thread.  Its workers start on entry, so enter it before starting threads:
+    no process is forked while they run.  Exit shuts it down and joins it."""
+    global _RUN_POOL
+    outer = _RUN_POOL
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        pool.submit(int).result()  # a forking pool starts every worker on its first task
+        _RUN_POOL = pool
+        yield
+    finally:
+        _RUN_POOL = outer
+        pool.shutdown(wait=True)
 
 
 # ---------------------------------------------------------------------------

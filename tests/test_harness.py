@@ -1,20 +1,25 @@
 import json
 import math
+import multiprocessing
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conehull.acceptance import all_passed
+from conehull.acceptance import all_passed, run_all
 from conehull.errors import ConfigError
 from conehull.harness import (
     CSV_COLUMNS,
+    EXPERIMENTS,
     ExperimentConfig,
     ResultRecord,
     map_replicates,
     records_to_csv,
     run_experiment,
+    run_pool,
     strip_runtime_column,
 )
 from conehull.rng import RngStream
@@ -116,8 +121,8 @@ def test_short_maps_split_over_every_worker(monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            initializer(*initargs)
+        def __init__(self, max_workers):
+            pass
 
         def __enter__(self):
             return self
@@ -126,10 +131,9 @@ def test_short_maps_split_over_every_worker(monkeypatch):
             return False
 
         def map(self, fn, blocks):
-            sizes.append([hi - lo for _, lo, hi in blocks])
+            sizes.append([hi - lo for _, _, lo, hi in blocks])
             return map(fn, blocks)
 
-    monkeypatch.setattr(harness, "_WORKER_FN", None)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     expect = {
         (1, 2): None,
@@ -144,6 +148,69 @@ def test_short_maps_split_over_every_worker(monkeypatch):
         out = harness.map_replicates(_noise, reps, seed=5, workers=workers)
         assert out == [_noise(RngStream(5, r).generator(), r) for r in range(reps)]
         assert sizes == ([] if blocks is None else [blocks])
+
+
+def _counting_pools(monkeypatch):
+    import conehull.harness as harness
+
+    made = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    return made
+
+
+def test_gate_run_uses_one_pool(monkeypatch):
+    # both criteria map at two workers; a pool per map would make two
+    made = _counting_pools(monkeypatch)
+    names = ["density-convergence", "harness-reproducibility"]
+    records = run_all(3, workers=2, profile="quick", criteria=names)
+    assert len(made) == 1
+    assert [r.experiment.split("[")[0] for r in records] == [names[0]] * 4 + [names[1]]
+    assert records_to_csv(records, include_runtime=False) == records_to_csv(
+        run_all(3, workers=1, profile="quick", criteria=names), include_runtime=False
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_gate_run_leaves_no_process_when_a_criterion_raises(monkeypatch):
+    def boom(config):
+        map_replicates(_noise, 40, seed=1, workers=config.workers)
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(EXPERIMENTS, "boom", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_all(3, workers=2, profile="quick", criteria=["harness-reproducibility", "boom"])
+    assert multiprocessing.active_children() == []
+
+
+def test_run_pool_forks_every_worker_before_it_is_used():
+    # criterion threads start only after this; none of them forks
+    with run_pool(3):
+        pids = {p.pid for p in multiprocessing.active_children()}
+        assert len(pids) == 3
+        assert map_replicates(_noise, 50, seed=2, workers=3) == map_replicates(_noise, 50, seed=2)
+        assert {p.pid for p in multiprocessing.active_children()} == pids
+    assert multiprocessing.active_children() == []
+
+
+def test_threads_share_the_run_pool():
+    # more threads and workers than cores, switching often: every thread
+    # still gets its own replicates back, in order
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with run_pool(3), ThreadPoolExecutor(max_workers=8) as threads:
+            futures = [threads.submit(map_replicates, _noise, 60 + s, s, 3) for s in range(16)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [map_replicates(_noise, 60 + s, s) for s in range(16)]
+    assert multiprocessing.active_children() == []
 
 
 def test_map_replicates_streams_are_replicate_indexed():
