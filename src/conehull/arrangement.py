@@ -24,11 +24,12 @@ from .geometry import (
     EPS_SIGN,
     PolyhedralCone,
     face_counts_spherical,
-    nullspace_direction,
+    line_directions,
 )
 
-# Most hyperplanes enumerate_cones accepts; by default the uniform-cell
-# sampler in R^3 walks one cell instead, at any n.
+# Most hyperplanes enumerate_cones accepts.  The uniform-cell sampler only
+# enumerates with n < D planes, where cells contain a line; otherwise it
+# walks one cell, at any n.
 ENUMERATION_LIMIT = 64
 
 
@@ -89,13 +90,7 @@ def ray_sign_data(normals: np.ndarray) -> RaySignData:
     if n < D - 1:
         raise DegenerateInput("too few hyperplanes for any ray line")
     subsets = np.array(list(itertools.combinations(range(n), D - 1)), dtype=int)
-    if D == 3:
-        V = np.cross(normals[subsets[:, 0]], normals[subsets[:, 1]])
-    elif D == 2:
-        a = normals[subsets[:, 0]]
-        V = np.stack([a[:, 1], -a[:, 0]], axis=1)
-    else:
-        V = np.array([nullspace_direction(normals[list(T)]) for T in subsets])
+    V = line_directions(normals[subsets])
     norms = np.linalg.norm(V, axis=1)
     if np.any(norms <= EPS_RANK):
         raise NonGeneric("dependent hyperplane subset")
@@ -225,23 +220,6 @@ class ConicalArrangement:
     @property
     def n_cells(self) -> int:
         return len(self.cells)
-
-    def cell_containing(self, x) -> int:
-        """Index of the unique cell whose interior contains direction x."""
-        dots = self.normals @ np.asarray(x, dtype=float)
-        if np.any(np.abs(dots) <= EPS_SIGN):
-            raise NonGeneric("direction lies on a hyperplane")
-        s = np.sign(dots).astype(int)
-        key = tuple(s)
-        idx = self._index().get(key)
-        if idx is None:
-            raise NonGeneric("sign vector not realized; arrangement inconsistent")
-        return idx
-
-    def _index(self) -> dict:
-        if not hasattr(self, "_sign_index"):
-            self._sign_index = {tuple(c.signs): i for i, c in enumerate(self.cells)}
-        return self._sign_index
 
 
 def enumerate_cones(normals) -> ConicalArrangement:

@@ -85,9 +85,6 @@ class Polytope:
     def scaled(self, factor: float) -> "Polytope":
         return Polytope(self.dim, self.vertices * float(factor))
 
-    def translated(self, offset) -> "Polytope":
-        return Polytope(self.dim, self.vertices + np.asarray(offset, dtype=float))
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "vertices": self.vertices.tolist()}
 
@@ -274,14 +271,6 @@ class PolyhedralCone:
     def effective_normals(self) -> np.ndarray:
         return self.signs[:, None] * self.normals
 
-    def flip_hyperplane(self, i: int) -> "PolyhedralCone":
-        """Same cone with the i-th (normal, sign) pair negated."""
-        nm = self.normals.copy()
-        sg = self.signs.copy()
-        nm[i] = -nm[i]
-        sg[i] = -sg[i]
-        return PolyhedralCone(nm, sg)
-
 
 def contains(cone: PolyhedralCone, x, tol: float = EPS_SIGN) -> bool:
     x = np.asarray(x, dtype=float)
@@ -297,20 +286,24 @@ def is_pointed(cone: PolyhedralCone) -> bool:
     return lineality_dim(cone) == 0
 
 
-def nullspace_direction(rows: np.ndarray) -> np.ndarray:
-    """Generalized cross product: a vector orthogonal to D-1 rows in R^D."""
+def line_directions(rows) -> np.ndarray:
+    """Generalized cross products: for each stacked set of D-1 rows in R^D,
+    the vector v with v_j = (-1)^j det(rows without column j), orthogonal to
+    every row.  This is the canonical direction of the line on D-1 linear
+    hyperplanes, for rows of shape (..., D-1, D)."""
     rows = np.asarray(rows, dtype=float)
-    k, D = rows.shape
-    if k != D - 1:
+    D = rows.shape[-1]
+    if rows.shape[-2] != D - 1:
         raise DegenerateInput("need exactly D-1 rows")
     if D == 3:
-        return np.cross(rows[0], rows[1])
-    v = np.empty(D)
+        flat = rows.reshape(-1, 2, 3)
+        return cross_rows(flat[:, 0], flat[:, 1]).reshape(rows.shape[:-2] + (3,))
+    if D == 2:
+        return np.stack([rows[..., 0, 1], -rows[..., 0, 0]], axis=-1)
     cols = np.arange(D)
-    for j in range(D):
-        sub = rows[:, cols != j]
-        v[j] = (-1.0) ** j * np.linalg.det(sub)
-    return v
+    return np.stack(
+        [(-1.0) ** j * np.linalg.det(rows[..., cols != j]) for j in range(D)], axis=-1
+    )
 
 
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -345,7 +338,7 @@ def _pointed_rays(cone: PolyhedralCone) -> np.ndarray:
     rays: list[np.ndarray] = []
     incid: list[tuple[int, ...]] = []
     for T in itertools.combinations(range(n), D - 1):
-        v = nullspace_direction(cone.normals[list(T)])
+        v = line_directions(cone.normals[list(T)])
         nv = float(np.linalg.norm(v))
         if nv <= EPS_RANK:
             raise NonGeneric("dependent hyperplane subset")

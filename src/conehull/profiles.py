@@ -56,13 +56,6 @@ class TangentFrame:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def coords(self, x) -> np.ndarray:
-        """Tangent-plane coordinates of a point on the affine plane at base."""
-        return self.basis @ (np.asarray(x, dtype=float) - self.base)
-
-    def embed(self, y) -> np.ndarray:
-        return self.base + self.basis.T @ np.asarray(y, dtype=float)
-
     def reflection_matrix(self) -> np.ndarray:
         D = len(self.base)
         e = pole(D)

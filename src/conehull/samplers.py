@@ -6,21 +6,15 @@ process whose hull is sampled exactly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .arrangement import (
-    RaySignData,
-    cell_incidence,
-    cell_ray_lines,
-    cell_rays,
-    enumerate_cones,
-    ray_sign_data,
-    wendel_probability,
-)
+from .arrangement import enumerate_cones, ray_sign_data, wendel_probability
 from .densities import omega
 from .errors import DegenerateInput, IterationCap, NonGeneric, NotPointed
 from .geometry import (
@@ -28,10 +22,9 @@ from .geometry import (
     EPS_SIGN,
     PolyhedralCone,
     contains,
-    cross_rows,
     extreme_rays,
-    interior_point,
     is_pointed,
+    line_directions,
     ray_cycle,
     spherical_triangle_areas,
     unit,
@@ -113,145 +106,169 @@ class ConeSample:
     rays: np.ndarray | None = field(default=None, repr=False)
     full_dimensional: bool = True
 
-    def check_consistency(self) -> bool:
-        """Membership of a recomputed interior point in the stored cone."""
-        if self.cone is None:
-            return True
-        return contains(self.cone, interior_point(self.cone))
+
+def _cross(rows) -> list[float]:
+    """line_directions for one set of D-1 rows, as Python floats; the R^3
+    case is unrolled, with cross_rows's arithmetic, because the walk takes
+    it twice per vertex."""
+    if len(rows) == 2 and len(rows[0]) == 3:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    return line_directions(np.array(rows)).tolist()
 
 
-def _uniform_cell_lazy(
-    data: RaySignData, rng: np.random.Generator, max_trials: int = 1_000_000
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
-    """Signs, rays and ray incidences of a uniform cell, without enumerating.
-
-    Proposals are uniform over (ray line, orientation, corner signs), which
-    hits each cell once per extreme ray; accepting with probability 1/f_0
-    makes the cell exactly uniform.  Needs n >= D so that cells are pointed.
-    """
-    D = data.dim
-    L = len(data.subsets)
-    for _ in range(max_trials):
-        l = int(rng.integers(L))
-        orient = 1 if rng.random() < 0.5 else -1
-        s = (orient * data.signs[l]).astype(np.int8)
-        eps = (rng.integers(0, 2, size=D - 1) * 2 - 1).astype(np.int8)
-        s[data.subsets[l]] = eps
-        pos, neg = cell_ray_lines(data, s)
-        f0 = int(np.count_nonzero(pos)) + int(np.count_nonzero(neg))
-        if rng.random() * f0 < 1.0:
-            return s.astype(int), cell_rays(data, pos, neg), cell_incidence(data, pos, neg)
-    raise IterationCap("uniform cell sampling did not accept")
-
-
-def _unit_cross(a, b) -> tuple[float, float, float]:
-    c = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-    nc = math.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
-    if nc <= EPS_RANK:
+def _ray(v: list[float], sign: int) -> list[float]:
+    """The unit ray sign * v / |v| of a line with canonical direction v."""
+    nv = math.hypot(*v)
+    if nv <= EPS_RANK:
         raise NonGeneric("dependent hyperplane subset")
-    return (c[0] / nc, c[1] / nc, c[2] / nc)
+    return [x / (sign * nv) for x in v]
 
 
-def _walk_cell(normals: np.ndarray, s: np.ndarray, i: int, j: int, r, u: float):
-    """Walk the boundary of the cell with signs s from its ray r on planes
-    i < j: from a ray on planes a and b, along plane a in the direction t
-    away from plane b, to the first plane met, argmin B_k / A_k with
-    A = s * (N r), B = s * (N t).  Returns the other rays' lines (lo, hi),
-    split by whether the ray is unit(n_lo x n_hi) (pos) or its negative
-    (neg); None once u * f_0 >= 1.
+def _check_off_planes(A: np.ndarray, P) -> None:
+    """Raise unless a ray on the planes P is strictly inside the other
+    half-spaces: A = s * (N r) > EPS_SIGN off P.  Sets A to 1 on P."""
+    for p in P:
+        A[p] = 1.0
+    if A.min() <= EPS_SIGN:
+        raise NonGeneric("a ray line lies on more hyperplanes than dimension allows")
+
+
+def _unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
+    """The rank-th k-subset of range(n) in itertools.combinations order,
+    read off the combinadic of its reverse rank."""
+    rest = math.comb(n, k) - 1 - rank
+    out = []
+    for m in range(k, 1, -1):
+        a = int((math.factorial(m) * rest) ** (1.0 / m)) + (m - 1) // 2
+        while math.comb(a + 1, m) <= rest:
+            a += 1
+        while math.comb(a, m) > rest:
+            a -= 1
+        rest -= math.comb(a, m)
+        out.append(n - 1 - a)
+    out.append(n - 1 - rest)
+    return tuple(out)
+
+
+def _walk_cell(normals: np.ndarray, s: np.ndarray, start, rows, orient: int, u: float):
+    """Search the vertex graph of the cell with signs s from its ray on the
+    sorted planes ``start``, whose normals are ``rows``; the ray is ``orient``
+    times the line's canonical direction.
+
+    A ray r on the D-1 planes P has D-1 edges.  The one leaving plane b keeps
+    the other planes K and runs along t = _cross(normals[K] + [r]), oriented
+    so that s_b <n_b, t> > 0, to the first plane c met: argmin B_k / A_k with
+    A = s * (N r), B = s * (N t).  A new ray skips the edge it came by; an
+    edge that ends at a known ray is closed, so that the ray at its other end
+    skips it too, and every edge is walked once.  Returns, keyed by the
+    sorted plane tuple, each ray's sign against its line's canonical
+    direction and that direction; None once u * f_0 >= 1.
     """
-    pos, neg = [], []
-    a, b, f0 = i, j, 1
-    while True:
-        na = normals[a].tolist()
-        t = _unit_cross(na, r)
-        A, B = (np.array((r, t)) @ normals.T) * s
-        if B[b] < 0:
-            B, t = -B, (-t[0], -t[1], -t[2])
-        A[a] = A[b] = 1.0
-        B[a] = B[b] = np.inf
-        if A.min() <= EPS_SIGN:
-            raise NonGeneric("walked ray is not strictly inside the other half-spaces")
+    D = normals.shape[1]
+    snT = (normals * s[:, None]).T.copy()
+    v = _cross(rows)
+    found = {start: (orient, v)}
+    closed: set[tuple[int, ...]] = set()
+    walked = 0
+    stack = [(start, rows, _ray(v, orient), list(range(D - 1)))]  # a ray and its edges left
+    while stack:
+        P, rows, r, todo = stack[-1]
+        m = todo.pop()
+        if not todo:
+            stack.pop()
+        K = P[:m] + P[m + 1:]
+        if K in closed:
+            continue
+        walked += 1
+        krows = rows[:m] + rows[m + 1:]
+        t = _cross(krows + [r])
+        A, B = np.array((r, t)) @ snT
+        if B[P[m]] < 0:
+            B, t = -B, [-x for x in t]
+        _check_off_planes(A, P)
+        for p in P:
+            B[p] = np.inf
         c = int((B / A).argmin())
-        if a == j and c == i:
-            return pos, neg
-        f0 += 1
-        if u * f0 >= 1.0:
+        i = bisect.bisect(K, c)
+        Q = K[:i] + (c,) + K[i:]
+        if Q in found:
+            closed.add(K)
+            continue
+        if u * (len(found) + 1) >= 1.0:
             return None
-        if f0 > len(s):
-            raise NonGeneric("cell boundary walk did not close")
-        r = _unit_cross(na, normals[c].tolist())
-        forward = r[0] * t[0] + r[1] * t[1] + r[2] * t[2] > 0
-        r = r if forward else (-r[0], -r[1], -r[2])
-        (pos if forward == (a < c) else neg).append((min(a, c), max(a, c)))
-        a, b = c, a
+        qrows = krows[:i] + [normals[c].tolist()] + krows[i:]
+        v = _cross(qrows)
+        sign = 1 if sum(map(mul, v, t)) > 0 else -1
+        found[Q] = (sign, v)
+        todo = list(range(D - 1))
+        del todo[i]  # the edge back
+        if todo:
+            stack.append((Q, qrows, _ray(v, sign), todo))
+        else:  # D = 2: the far ray of the one edge
+            _check_off_planes(np.dot(_ray(v, sign), snT), Q)
+    if 2 * walked != (D - 1) * len(found):  # a simple polytope has (D-1) f_0 / 2 edges
+        raise NonGeneric("cell boundary walk did not close")
+    return found
 
 
 def _uniform_cell_local(
     normals: np.ndarray, rng: np.random.Generator, max_trials: int = 1_000_000
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
-    """Signs, rays and ray incidences of a uniform cell of n planes through
-    0 in R^3, at O(n) cost per walked vertex.  Proposals and the 1/f_0
-    acceptance are those of _uniform_cell_lazy.  The draws, in order: the
-    line l, the orientation, the signs of its planes i < j and the accept
-    draw u, taken before the walk so that it can stop once u * f_0 >= 1.
-    Rays and incidences come in the order of cell_rays.
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Signs, rays and ray incidences of a uniform cell of n >= D generic
+    hyperplanes through 0 in R^D, at O(n) cost per walked vertex.
+
+    Proposals are uniform over (ray line, orientation, signs on the line's
+    D-1 planes), which hits each cell once per extreme ray; accepting with
+    probability 1/f_0 makes the cell exactly uniform.  The draws, in order:
+    the line, an index into C(n, D-1) in itertools.combinations order, then
+    rng.random(D+1): the orientation, the signs of the line's planes and the
+    accept draw u, taken before the walk so that it can stop once
+    u * f_0 >= 1.  Rays and incidences come in the order of cell_rays, and
+    rays are normalized as ray_sign_data normalizes them.
     """
-    n = normals.shape[0]
-    L = n * (n - 1) // 2
+    n, D = normals.shape
+    L = math.comb(n, D - 1)
     for _ in range(max_trials):
-        l = int(rng.integers(L))  # (i, j) in the row-major order of triu_indices(n, 1)
-        i = n - 2 - (math.isqrt(8 * (L - l) - 7) - 1) // 2
-        j = l + i + 1 - L + (n - i) * (n - i - 1) // 2
-        *flips, u = rng.random(4)
-        if u * 3 >= 1.0:  # every cell has f_0 >= 3
+        l = int(rng.integers(L))
+        *flips, u = rng.random(D + 1).tolist()
+        if u * D >= 1.0:  # a pointed cell in R^D has f_0 >= D
             continue
-        orient, si, sj = (1 if x < 0.5 else -1 for x in flips)
-        v = _unit_cross(normals[i].tolist(), normals[j].tolist())
-        dots = normals @ v
-        if np.flatnonzero(np.abs(dots) <= EPS_SIGN).tolist() != [i, j]:
-            raise NonGeneric("a ray line lies on more hyperplanes than dimension allows")
-        s = np.where(dots > 0, orient, -orient)
-        s[i], s[j] = si, sj
-        walk = _walk_cell(normals, s, i, j, tuple(orient * x for x in v), u)
-        if walk is None:
+        orient, *eps = (1 if x < 0.5 else -1 for x in flips)
+        P = _unrank_combination(l, n, D - 1)
+        rows = [normals[p].tolist() for p in P]
+        s = np.where(normals @ _cross(rows) > 0, orient, -orient)
+        for p, e in zip(P, eps):
+            s[p] = e
+        found = _walk_cell(normals, s, P, rows, orient, u)
+        if found is None:
             continue
-        pos, neg = walk
-        (pos if orient > 0 else neg).append((i, j))
-        pairs = np.array(sorted(pos) + sorted(neg))
-        V = cross_rows(normals[pairs[:, 0]], normals[pairs[:, 1]])
-        V /= np.linalg.norm(V, axis=1)[:, None]
-        V[len(pos):] = -V[len(pos):]
-        return s, V, tuple(map(tuple, pairs.tolist()))
+        pos = sorted(Q for Q in found if found[Q][0] > 0)
+        neg = sorted(Q for Q in found if found[Q][0] < 0)
+        V = np.array([found[Q][1] for Q in pos + neg])
+        V /= np.sqrt((V * V).sum(axis=1))[:, None]  # np.linalg.norm's arithmetic
+        V[len(pos):] *= -1.0
+        return s, V, tuple(pos + neg)
     raise IterationCap("uniform cell sampling did not accept")
 
 
-def sample_schlaefli_cone(
-    n: int, d: int, rng: np.random.Generator, method: str = "auto"
-) -> ConeSample:
+def sample_schlaefli_cone(n: int, d: int, rng: np.random.Generator) -> ConeSample:
     """Uniformly chosen cell of the tessellation by n uniform hyperplanes.
 
-    ``method`` picks between full enumeration and the lazy uniform-cell
-    route (identical law); "auto" uses the lazy route whenever cells are
-    pointed (ambient R^3, n >= 3).
+    With n >= d+1 the cells are pointed and one cell is walked from a
+    uniform proposal (_uniform_cell_local), at any n; with fewer planes
+    every cell contains a line, and the arrangement is enumerated.
     """
     D = d + 1
-    if method == "auto":
-        method = "lazy" if D == 3 and n >= 3 else "enumerate"
     last: Exception | None = None
     for _ in range(MAX_GENERICITY_RETRIES):
         normals = sample_uniform_sphere_batch(d, n, rng)
         try:
-            if method == "enumerate":
+            if n < D:
                 arr = enumerate_cones(normals)
                 cone = arr.cells[int(rng.integers(arr.n_cells))]
                 return ConeSample(kind="schlaefli", generators=normals, cone=cone, rays=cone._rays)
-            if n < D:
-                raise DegenerateInput("lazy sampling needs n >= d+1")
-            if D == 3:
-                signs, rays, incidence = _uniform_cell_local(normals, rng)
-            else:
-                signs, rays, incidence = _uniform_cell_lazy(ray_sign_data(normals), rng)
+            signs, rays, incidence = _uniform_cell_local(normals, rng)
             cone = PolyhedralCone(normals, signs)
             rays.setflags(write=False)
             cone._rays = rays

@@ -78,11 +78,13 @@ def test_enumerate_rejects_degenerate():
 
 def test_partition_property():
     arr = enumerate_cones(random_normals(6, 3, seed=5))
+    index = {tuple(c.signs): i for i, c in enumerate(arr.cells)}
     rng = np.random.default_rng(99)
     for _ in range(10_000):
-        x = rng.standard_normal(3)
-        idx = arr.cell_containing(x)
-        assert 0 <= idx < arr.n_cells
+        # every direction off the planes has the sign vector of exactly one cell
+        dots = arr.normals @ rng.standard_normal(3)
+        assert np.all(np.abs(dots) > 1e-12)
+        assert tuple(np.sign(dots).astype(int)) in index
 
 
 def test_cell_rays_match_direct_computation():

@@ -42,6 +42,14 @@ def test_sample_schlaefli_at_ten_thousand_planes():
     rec = json.loads(proc.stdout)
     assert len(rec["generators"]) == 10_000
     assert rec["f_vector"][0] >= 3 and rec["f_vector"][0] == rec["f_vector"][1]
+    # d = 3 beyond the 64 planes that enumeration takes
+    proc = run_cli(["sample", "--kind", "schlaefli", "--d", "3", "--n", "128", "--reps", "1", "--seed", "5"])
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert len(rec["generators"]) == 128
+    f = rec["f_vector"]
+    assert len(f) == 4 and f[0] >= 4 and f[3] == 1
+    assert f[0] - f[1] + f[2] == 2  # Euler: the spherical cell is a 3-polytope
 
 
 def test_sample_cover_efron_reports_trials():

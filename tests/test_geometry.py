@@ -248,7 +248,10 @@ def test_sign_flip_invariance():
     x = rng.standard_normal(3)
     signs = np.where(normals @ x >= 0, 1, -1)
     cone = PolyhedralCone(normals, signs)
-    flipped = cone.flip_hyperplane(2)
+    # negate the third (normal, sign) pair: the same cone
+    nm, sg = normals.copy(), signs.copy()
+    nm[2], sg[2] = -nm[2], -sg[2]
+    flipped = PolyhedralCone(nm, sg)
     assert vertex_sets_equal(np.sort(extreme_rays(cone), axis=0),
                              np.sort(extreme_rays(flipped), axis=0), tol=1e-12)
     assert solid_angle(cone) == pytest.approx(solid_angle(flipped), abs=1e-14)

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conehull.arrangement import enumerate_cones, schlaefli_count, wendel_probability
+from conehull.arrangement import (
+    enumerate_cones,
+    expected_spherical_face_count,
+    schlaefli_count,
+    wendel_probability,
+)
 from conehull.densities import omega, pc_ball
-from conehull.errors import IterationCap, NotPointed
+from conehull.errors import IterationCap, NonGeneric, NotPointed
 from conehull.geometry import (
     PolyhedralCone,
     contains,
     extreme_rays,
     convex_hull,
+    interior_point,
     ray_cycle,
     solid_angle,
     spherical_triangle_areas,
@@ -127,7 +133,7 @@ def test_cover_efron_sample_consistency():
     # generators belong to the reconstructed H-form cone
     for g in s.generators:
         assert contains(s.cone, g, tol=1e-9)
-    assert s.check_consistency()
+    assert contains(s.cone, interior_point(s.cone))
 
 
 def test_cover_efron_iteration_cap_guard():
@@ -149,25 +155,6 @@ def test_schlaefli_cell_uniformity_chi2_fixed_arrangement():
     draws = 10_000
     for _ in range(draws):
         counts[int(rng.integers(arr.n_cells))] += 1
-    chi2 = float(((counts - draws / arr.n_cells) ** 2 / (draws / arr.n_cells)).sum())
-    assert stats.chi2.sf(chi2, arr.n_cells - 1) > 1e-3
-
-
-def test_schlaefli_lazy_matches_enumerate_distribution():
-    # same hyperplanes; lazy uniform-cell sampling must match enumeration law
-    from conehull.arrangement import ray_sign_data
-    from conehull.samplers import _uniform_cell_lazy
-
-    rng = rng_for(15)
-    normals = sample_uniform_sphere_batch(2, 5, rng)
-    arr = enumerate_cones(normals)
-    data = ray_sign_data(normals)
-    index = {tuple(c.signs): i for i, c in enumerate(arr.cells)}
-    counts = np.zeros(arr.n_cells)
-    draws = 8000
-    for _ in range(draws):
-        s = _uniform_cell_lazy(data, rng)[0]
-        counts[index[tuple(s)]] += 1
     chi2 = float(((counts - draws / arr.n_cells) ** 2 / (draws / arr.n_cells)).sum())
     assert stats.chi2.sf(chi2, arr.n_cells - 1) > 1e-3
 
@@ -217,11 +204,52 @@ def test_local_cell_kernel_matches_ray_sign_matrix(n, seeds):
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_local_cell_kernel_matches_enumerate_distribution():
+def _ray_sign_uniform_cell(data, rng):
+    """Reference for the walk in any dimension: the proposal loop over the
+    ray sign matrix of ray_sign_data, with the walk's draws in its order."""
+    from conehull.arrangement import cell_incidence, cell_ray_lines, cell_rays
+
+    D = data.dim
+    while True:
+        l = int(rng.integers(len(data.subsets)))
+        *flips, u = rng.random(D + 1)
+        orient, *eps = (1 if x < 0.5 else -1 for x in flips)
+        s = orient * data.signs[l].astype(int)
+        s[data.subsets[l]] = eps
+        pos, neg = cell_ray_lines(data, s)
+        if u * (np.count_nonzero(pos) + np.count_nonzero(neg)) < 1.0:
+            return s, cell_rays(data, pos, neg), cell_incidence(data, pos, neg)
+
+
+@pytest.mark.parametrize("D,n,seeds", [(2, 2, 40), (2, 7, 40), (2, 20, 40), (4, 4, 40),
+                                       (4, 6, 40), (4, 12, 30), (4, 20, 20), (5, 5, 30),
+                                       (5, 8, 20), (5, 14, 10)])
+def test_walk_matches_ray_sign_proposals(D, n, seeds):
+    # the same draws in the same order outside R^3: the same cell, rays equal
+    # to the bit, the same incidences and the same generator state afterwards
+    from conehull.arrangement import ray_sign_data
+    from conehull.samplers import _uniform_cell_local
+
+    for seed in range(seeds):
+        normals = sample_uniform_sphere_batch(D - 1, n, np.random.default_rng([D, n, seed]))
+        data = ray_sign_data(normals)
+        ref_rng = np.random.default_rng([seed, 2])
+        rng = np.random.default_rng([seed, 2])
+        for _ in range(2):
+            s_ref, rays_ref, inc_ref = _ray_sign_uniform_cell(data, ref_rng)
+            s, rays, inc = _uniform_cell_local(normals, rng)
+            assert np.array_equal(s, s_ref)
+            assert rays.tobytes() == rays_ref.tobytes()
+            assert inc == inc_ref
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_local_cell_kernel_matches_enumerate_distribution(d):
     from conehull.samplers import _uniform_cell_local
 
     rng = rng_for(40)
-    normals = sample_uniform_sphere_batch(2, 5, rng)
+    normals = sample_uniform_sphere_batch(d, 5, rng)
     arr = enumerate_cones(normals)
     index = {tuple(c.signs): i for i, c in enumerate(arr.cells)}
     counts = np.zeros(arr.n_cells)
@@ -240,12 +268,59 @@ def test_local_cell_kernel_matches_enumerate_distribution():
 def test_lazy_cells_cache_the_incidence_enumeration_caches(d, n):
     rng = rng_for(41)
     for _ in range(30):
-        s = sample_schlaefli_cone(n, d, rng, method="lazy")
+        s = sample_schlaefli_cone(n, d, rng)
         arr = enumerate_cones(s.generators)
-        cell = arr.cells[arr._index()[tuple(s.cone.signs)]]
+        cell = next(c for c in arr.cells if np.array_equal(c.signs, s.cone.signs))
         assert s.cone._ray_incidence == cell._ray_incidence
         # enumerate_cones renormalizes the normals, so rays agree to rounding
         np.testing.assert_allclose(s.rays, cell._rays, rtol=0, atol=1e-12)
+
+
+def _degenerate_normals(kind):
+    """Six generic planes in R^3, made degenerate: "double" repeats the first
+    plane in place of the second (and keeps four planes); "pencil" puts the
+    third plane through the line of the first two.  "twin" is three lines in
+    R^2, the last two the same."""
+    if kind == "twin":
+        base = sample_uniform_sphere_batch(1, 2, np.random.default_rng(0))
+        return np.vstack([base, -base[1:]])
+    base = sample_uniform_sphere_batch(2, 6, np.random.default_rng(0))
+    if kind == "double":
+        return np.vstack([base[:1], base[:1], base[2:4]])
+    base[2] = (base[0] + base[1]) / np.linalg.norm(base[0] + base[1])
+    return base
+
+
+@pytest.mark.parametrize("kind,seed,message", [
+    # the proposed line is the doubled plane's
+    ("double", 6, "dependent hyperplane subset"),
+    # the proposed line lies on the doubled plane, or on the pencil's third
+    ("double", 0, "lies on more hyperplanes"),
+    ("pencil", 4, "lies on more hyperplanes"),
+    # a ray met later in the walk does
+    ("double", 7, "lies on more hyperplanes"),
+    ("pencil", 1, "lies on more hyperplanes"),
+    ("twin", 1, "lies on more hyperplanes"),  # the far ray of the one edge in R^2
+])
+def test_walk_raises_on_degenerate_planes(kind, seed, message):
+    from conehull.samplers import _uniform_cell_local
+
+    with pytest.raises(NonGeneric, match=message):
+        _uniform_cell_local(_degenerate_normals(kind), np.random.default_rng(seed))
+
+
+def test_walk_that_does_not_close_raises(monkeypatch):
+    # with the vertex check switched off, the ratio test meets three planes
+    # at once on the pencil's line, and the edge count gives the walk away
+    import conehull.samplers as samplers
+
+    monkeypatch.setattr(samplers, "EPS_SIGN", -np.inf)
+    normals = _degenerate_normals("pencil")
+    P = (0, 1)
+    s = np.where(normals @ np.cross(normals[0], normals[1]) > 0, 1, -1)
+    s[:3] = 1  # the third plane holds the line of the first two
+    with pytest.raises(NonGeneric, match="did not close"):
+        samplers._walk_cell(normals, s, P, [normals[p].tolist() for p in P], 1, 0.0)
 
 
 def test_schlaefli_cone_at_ten_thousand_planes():
@@ -291,13 +366,28 @@ def test_schlaefli_f0_constant_n3():
         assert s.rays.shape[0] == 3
 
 
-def test_schlaefli_lazy_mode_agrees_on_features():
+@pytest.mark.parametrize("d", [2, 3])
+def test_schlaefli_f0_matches_enumerated_cells(d):
+    # the walked cell against a uniform index into the enumerated cells
     rng1 = rng_for(18)
     rng2 = rng_for(19)
-    f0_enum = [sample_schlaefli_cone(8, 2, rng1, method="enumerate").rays.shape[0] for _ in range(800)]
-    f0_lazy = [sample_schlaefli_cone(8, 2, rng2, method="lazy").rays.shape[0] for _ in range(800)]
-    p = stats.ks_2samp(f0_enum, f0_lazy).pvalue
+    f0_enum = []
+    for _ in range(600):
+        arr = enumerate_cones(sample_uniform_sphere_batch(d, 8, rng1))
+        f0_enum.append(arr.cells[int(rng1.integers(arr.n_cells))]._rays.shape[0])
+    f0_walk = [sample_schlaefli_cone(8, d, rng2).rays.shape[0] for _ in range(600)]
+    p = stats.ks_2samp(f0_enum, f0_walk).pvalue
     assert p > 1e-3
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_schlaefli_mean_f0_beyond_the_enumeration_limit(d):
+    # exact E f_0 of the uniform cell at n = 128 > ENUMERATION_LIMIT
+    rng = rng_for(43)
+    f0 = np.array([sample_schlaefli_cone(128, d, rng).rays.shape[0] for _ in range(2000)])
+    se = float(f0.std(ddof=1)) / math.sqrt(len(f0))
+    exact = float(expected_spherical_face_count(128, d, 0))
+    assert abs(float(f0.mean()) - exact) <= 4 * se
 
 
 # --- pole cell and half-sphere cones -------------------------------------------

@@ -452,10 +452,10 @@ def test_inradius_translation_invariant():
     rng = rng_for(21)
     for _ in range(20):
         p = sample_zero_cell(2, 0.5, rng).polytope
-        moved = p.translated(np.array([1e6, -1e6]))
+        moved = Polytope(2, p.vertices + np.array([1e6, -1e6]))
         r0, r1 = cell_features(p).inradius, cell_features(moved).inradius
         assert r1 == pytest.approx(r0, rel=1e-9)
-    hexagon = regular_polygon(6).translated(np.array([1e6, 1e6]))
+    hexagon = Polytope(2, regular_polygon(6).vertices + np.array([1e6, 1e6]))
     assert cell_features(hexagon).inradius == pytest.approx(math.cos(math.pi / 6), rel=1e-9)
 
 
