@@ -9,6 +9,7 @@ fallbacks at the call sites.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -329,64 +330,64 @@ def extreme_rays(cone: PolyhedralCone) -> np.ndarray:
 
 
 def _pointed_rays(cone: PolyhedralCone) -> np.ndarray:
-    """extreme_rays for a cone already known to be pointed."""
-    D = cone.ambient_dim
-    n = cone.n_hyperplanes
-    W = cone.effective_normals
-    if D == 3:
-        return _extreme_rays_3d(cone)
-    rays: list[np.ndarray] = []
-    incid: list[tuple[int, ...]] = []
-    for T in itertools.combinations(range(n), D - 1):
-        v = line_directions(cone.normals[list(T)])
-        nv = float(np.linalg.norm(v))
-        if nv <= EPS_RANK:
-            raise NonGeneric("dependent hyperplane subset")
-        v /= nv
-        dots = W @ v
-        off = np.ones(n, dtype=bool)
-        off[list(T)] = False
-        od = dots[off]
-        if od.size and np.any(np.abs(od) <= EPS_SIGN):
-            raise NonGeneric("candidate ray lies on more hyperplanes than dimension allows")
-        if od.size == 0 or np.all(od > 0):
-            rays.append(v)
-            incid.append(T)
-        elif np.all(od < 0):
-            rays.append(-v)
-            incid.append(T)
-    ray_arr = np.array(rays) if rays else np.empty((0, D))
-    ray_arr.setflags(write=False)
-    cone._rays = ray_arr
-    cone._ray_incidence = tuple(incid)
-    return ray_arr
+    """extreme_rays for a cone already known to be pointed.
+
+    A line carries a ray of the cone iff all n - D + 1 planes off it lie on
+    one side of it; fewer than that strictly off it means it lies on more
+    planes than dimension allows.
+    """
+    n, D = cone.normals.shape
+    subsets, V, dots = _ray_lines(cone.normals, cone.effective_normals)
+    above = np.count_nonzero(dots > EPS_SIGN, axis=1)
+    below = np.count_nonzero(dots < -EPS_SIGN, axis=1)
+    if np.any(above + below < n - D + 1):
+        raise NonGeneric("candidate ray lies on more hyperplanes than dimension allows")
+    pos = above == n - D + 1
+    neg = below == n - D + 1
+    incidence = np.concatenate([subsets[pos], subsets[neg]]).tolist()
+    return _cache_rays(cone, np.concatenate([V[pos], -V[neg]]), tuple(map(tuple, incidence)))
 
 
-def _extreme_rays_3d(cone: PolyhedralCone) -> np.ndarray:
-    """Vectorized ray enumeration for ambient dimension 3."""
-    n = cone.n_hyperplanes
-    idx = np.arange(n)
-    i, j = np.nonzero(idx[:, None] < idx)  # pairs i < j, in itertools.combinations order
-    V = cross_rows(cone.normals[i], cone.normals[j])
+def _ray_lines(normals: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (D-1)-subset of the n planes with normals ``normals``, shape
+    (L, D-1) in itertools.combinations order; the unit canonical direction
+    of each subset's line (line_directions, normalized row-wise), shape
+    (L, D); and the products of each direction with the rows of W, shape
+    (L, n), zero on the line's own planes, so that they count on neither
+    side of it.  Raises NonGeneric on a dependent subset."""
+    n, D = normals.shape
+    subsets = _subsets(n, D - 1)
+    if D == 3:  # line_directions' cross products, without its (L, 2, 3) gather
+        V = cross_rows(normals[subsets[:, 0]], normals[subsets[:, 1]])
+    else:
+        V = line_directions(normals[subsets])
     norms = np.linalg.norm(V, axis=1)
     if np.any(norms <= EPS_RANK):
         raise NonGeneric("dependent hyperplane subset")
     V /= norms[:, None]
-    dots = V @ cone.effective_normals.T  # (L, n)
-    rows = np.arange(len(i))
-    dots[rows, i] = dots[rows, j] = 0.0  # a line's own planes count on neither side
-    above = np.count_nonzero(dots > EPS_SIGN, axis=1)
-    below = np.count_nonzero(dots < -EPS_SIGN, axis=1)
-    if np.any(above + below < n - 2):
-        raise NonGeneric("candidate ray lies on more hyperplanes than dimension allows")
-    pos = above == n - 2
-    neg = below == n - 2
-    rays = np.concatenate([V[pos], -V[neg]], axis=0)
-    incid = list(zip(i[pos].tolist(), j[pos].tolist()))
-    incid += zip(i[neg].tolist(), j[neg].tolist())
+    dots = V @ W.T
+    rows = np.arange(len(subsets))
+    for col in subsets.T:
+        dots[rows, col] = 0.0
+    return subsets, V, dots
+
+
+@functools.lru_cache(maxsize=16)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in itertools.combinations order, one per
+    row, read-only; cached, since cells of one size recur."""
+    out = np.array(list(itertools.combinations(range(n), k)), dtype=int)
+    out = out.reshape(math.comb(n, k), k)
+    out.setflags(write=False)
+    return out
+
+
+def _cache_rays(cone: PolyhedralCone, rays: np.ndarray, incidence) -> np.ndarray:
+    """Store a cone's extreme rays, read-only, and the planes through each;
+    every writer of the ray cache goes through here."""
     rays.setflags(write=False)
     cone._rays = rays
-    cone._ray_incidence = tuple(incid)
+    cone._ray_incidence = incidence
     return rays
 
 

@@ -21,6 +21,7 @@ from .geometry import (
     EPS_RANK,
     EPS_SIGN,
     PolyhedralCone,
+    _cache_rays,
     contains,
     extreme_rays,
     is_pointed,
@@ -270,9 +271,7 @@ def sample_schlaefli_cone(n: int, d: int, rng: np.random.Generator) -> ConeSampl
                 return ConeSample(kind="schlaefli", generators=normals, cone=cone, rays=cone._rays)
             signs, rays, incidence = _uniform_cell_local(normals, rng)
             cone = PolyhedralCone(normals, signs)
-            rays.setflags(write=False)
-            cone._rays = rays
-            cone._ray_incidence = incidence
+            _cache_rays(cone, rays, incidence)
             return ConeSample(kind="schlaefli", generators=normals, cone=cone, rays=rays)
         except NonGeneric as exc:
             last = exc

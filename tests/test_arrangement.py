@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from conehull.arrangement import (
     wendel_probability,
 )
 from conehull.errors import NonGeneric, NotPointed
-from conehull.geometry import extreme_rays, face_counts_spherical
+from conehull.geometry import face_counts_spherical
 
 
 def random_normals(n, D, seed):
@@ -87,27 +88,45 @@ def test_partition_property():
         assert tuple(np.sign(dots).astype(int)) in index
 
 
+def _brute_force_rays(cell):
+    """The rays of a cell from scratch: each (D-1)-subset's line, from an SVD
+    null vector, in whichever orientation lies strictly inside every other
+    half-space of the cell.  Returns {subset: unit ray}."""
+    W = cell.effective_normals
+    n, D = W.shape
+    out = {}
+    for T in itertools.combinations(range(n), D - 1):
+        v = np.linalg.svd(cell.normals[list(T)])[2][-1]
+        others = [j for j in range(n) if j not in T]
+        for r in (v, -v):
+            if np.all(W[others] @ r > 1e-9):
+                out[T] = r
+    return out
+
+
+def _assert_cached_rays_are_the_cells(cell):
+    expect = _brute_force_rays(cell)
+    assert sorted(cell._ray_incidence) == sorted(expect)
+    assert len(cell._rays) == len(cell._ray_incidence)
+    for ray, T in zip(cell._rays, cell._ray_incidence):
+        dots = cell.effective_normals @ ray
+        on = np.abs(dots) <= 1e-9
+        assert tuple(np.nonzero(on)[0]) == T  # on exactly its planes
+        assert np.all(dots[~on] > 1e-9)  # strictly inside the others
+        np.testing.assert_allclose(ray, expect[T], rtol=0, atol=1e-12)
+
+
 def test_cell_rays_match_direct_computation():
-    arr = enumerate_cones(random_normals(5, 3, seed=8))
-    for cell in arr.cells:
-        cached = np.sort(np.round(cell._rays, 9), axis=0)
-        cell2 = type(cell)(cell.normals, cell.signs)
-        direct = np.sort(np.round(extreme_rays(cell2), 9), axis=0)
-        assert cached.shape == direct.shape
-        assert np.allclose(cached, direct, atol=1e-9)
+    for cell in enumerate_cones(random_normals(5, 3, seed=8)).cells:
+        _assert_cached_rays_are_the_cells(cell)
 
 
 @pytest.mark.parametrize("D, n", [(3, 6), (4, 6)])
 def test_cell_ray_incidences_match_direct_computation(D, n):
     # the cached incidences pair each cached ray with the hyperplanes it
     # lies on, as found from the ray itself
-    arr = enumerate_cones(random_normals(n, D, seed=20 + D))
-    for cell in arr.cells:
-        for ray, T in zip(cell._rays, cell._ray_incidence):
-            on = np.nonzero(np.abs(arr.normals @ ray) <= 1e-9)[0]
-            assert tuple(int(i) for i in T) == tuple(on)
-        direct = extreme_rays(type(cell)(cell.normals, cell.signs))
-        assert sorted(map(tuple, np.round(cell._rays, 9))) == sorted(map(tuple, np.round(direct, 9)))
+    for cell in enumerate_cones(random_normals(n, D, seed=20 + D)).cells:
+        _assert_cached_rays_are_the_cells(cell)
 
 
 def test_expected_face_count_values():

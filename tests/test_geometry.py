@@ -11,7 +11,7 @@ from conehull.errors import (
     OriginNotInterior,
     TiedFirstCoordinate,
 )
-from conehull.arrangement import enumerate_cones
+from conehull.arrangement import enumerate_cones, schlaefli_count
 from conehull.geometry import (
     EPS_RANK,
     EPS_SIGN,
@@ -24,6 +24,7 @@ from conehull.geometry import (
     face_counts_spherical,
     interior_point,
     is_pointed,
+    line_directions,
     point_in_convex_polygon,
     polar_cone,
     polar_polytope,
@@ -302,7 +303,7 @@ def test_euler_relation_4d_cones():
 def test_ray_cycle_walks_the_facets_of_each_cell():
     # consecutive rays span a facet plane (their cross product is parallel
     # to one of the normals); every ray appears once; the walk starts at ray 0
-    from conehull.arrangement import enumerate_cones
+    from conehull.arrangement import enumerate_cones, schlaefli_count
 
     rng = np.random.default_rng(41)
     normals = rng.standard_normal((7, 3))
@@ -321,7 +322,7 @@ def test_ray_cycle_uses_the_incidence_extreme_rays_decided():
     # cut a 1e-10 corner off a cell at ray r: the two new rays lie about
     # 1e-10 from a plane they are not on, which extreme_rays tells apart at
     # EPS_SIGN, so the cycle and the solid angle must accept the cone too
-    from conehull.arrangement import enumerate_cones
+    from conehull.arrangement import enumerate_cones, schlaefli_count
 
     cell = enumerate_cones(np.random.default_rng(41).standard_normal((5, 3))).cells[0]
     r, r2 = extreme_rays(cell)[:2]
@@ -584,6 +585,98 @@ def test_ray_enumeration_raises_where_the_loop_raised(normals):
     _raises_the_same(
         lambda: extreme_rays(PolyhedralCone(normals, signs)),
         lambda: _reference_extreme_rays_3d(PolyhedralCone(normals, signs)),
+    )
+
+
+# --- ray enumeration outside R^3 against the subset loop ------------------
+# _reference_pointed_rays is the loop that enumerated rays outside R^3: one
+# line_directions call per (D-1)-subset, normalized by the scalar norm, with
+# rays in subset order.  The package lists the canonical orientations first,
+# as in R^3, and normalizes row-wise, which can move a ray by an ulp; so the
+# rays of each incidence tuple agree to 4e-16, and the tuples exactly.
+
+
+def _reference_pointed_rays(cone):
+    D = cone.ambient_dim
+    n = cone.n_hyperplanes
+    W = cone.effective_normals
+    rays: list[np.ndarray] = []
+    incid: list[tuple[int, ...]] = []
+    for T in itertools.combinations(range(n), D - 1):
+        v = line_directions(cone.normals[list(T)])
+        nv = float(np.linalg.norm(v))
+        if nv <= EPS_RANK:
+            raise NonGeneric("dependent hyperplane subset")
+        v /= nv
+        dots = W @ v
+        off = np.ones(n, dtype=bool)
+        off[list(T)] = False
+        od = dots[off]
+        if od.size and np.any(np.abs(od) <= EPS_SIGN):
+            raise NonGeneric("candidate ray lies on more hyperplanes than dimension allows")
+        if od.size == 0 or np.all(od > 0):
+            rays.append(v)
+            incid.append(T)
+        elif np.all(od < 0):
+            rays.append(-v)
+            incid.append(T)
+    ray_arr = np.array(rays) if rays else np.empty((0, D))
+    return ray_arr, tuple(incid)
+
+
+def _cells_outside_r3(D):
+    """Pole cells, walk cells and every cell of a few enumerated
+    arrangements in R^D."""
+    d = D - 1
+    for n in (D, D + 1, D + 3, 12):
+        for k in range(8):
+            yield sample_s_minus_e(n, d, RngStream(4800 + 10 * D + n, k).generator()).cone
+            yield sample_schlaefli_cone(n, d, RngStream(4900 + 10 * D + n, k).generator()).cone
+    for n in (D, D + 2):
+        yield from enumerate_cones(np.random.default_rng([5000, D, n]).standard_normal((n, D))).cells
+
+
+def _assert_same_rays(rays, incidence, rays_ref, incidence_ref, atol=4e-16):
+    assert sorted(incidence) == sorted(incidence_ref)
+    ref = dict(zip(incidence_ref, rays_ref))
+    np.testing.assert_allclose(rays, [ref[T] for T in incidence], rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("D", [2, 4, 5])
+def test_ray_enumeration_matches_the_subset_loop_outside_r3(D):
+    count = 0
+    for cone in _cells_outside_r3(D):
+        fresh = PolyhedralCone(cone.normals, cone.signs)
+        rays_ref, incid_ref = _reference_pointed_rays(fresh)
+        _assert_same_rays(extreme_rays(fresh), ray_incidence(fresh), rays_ref, incid_ref)
+        assert all(type(i) is int for T in ray_incidence(fresh) for i in T)
+        if cone._rays is not None:
+            # the walk and enumeration caches come from the normals before
+            # PolyhedralCone renormalized them, an ulp away from cone.normals
+            _assert_same_rays(cone._rays, cone._ray_incidence, rays_ref, incid_ref, atol=1e-14)
+        count += 1
+    assert count == 64 + sum(schlaefli_count(n, D) for n in (D, D + 2))
+
+
+@pytest.mark.parametrize(
+    "normals",
+    [
+        # planes 0, 1 and 2 are dependent: three normals in the x1-x2 plane
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+         [0.3, -0.2, 1.0, 0.1], [0.2, 0.5, -0.4, 1.0]],
+        # the ray of planes 0, 1 and 2, (0, 0, 0, 1), lies on plane 3
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+         [1.0, -2.0, 0.5, 0.0], [0.2, 0.3, -0.1, 1.0], [-0.4, 0.1, 0.3, 1.0]],
+        # ... and within EPS_SIGN / 2 of plane 3
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+         [1.0, 1.0, 1.0, 5e-13], [0.2, 0.3, -0.1, 1.0]],
+    ],
+)
+def test_ray_enumeration_raises_where_the_subset_loop_raised_in_r4(normals):
+    signs = np.ones(len(normals), dtype=int)
+    _raises_the_same(
+        lambda: extreme_rays(PolyhedralCone(normals, signs)),
+        lambda: _reference_pointed_rays(PolyhedralCone(normals, signs)),
     )
 
 

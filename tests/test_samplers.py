@@ -159,51 +159,6 @@ def test_schlaefli_cell_uniformity_chi2_fixed_arrangement():
     assert stats.chi2.sf(chi2, arr.n_cells - 1) > 1e-3
 
 
-def _matrix_uniform_cell(data, rng):
-    """Reference for the local kernel: the proposal loop over the float32
-    ray sign matrix of fast_ray_data, one mat-vec per proposal."""
-    from conehull.arrangement import cell_rays
-
-    L = len(data.subsets)
-    while True:
-        l = int(rng.integers(L))
-        orient = 1.0 if rng.random() < 0.5 else -1.0
-        s = orient * data.signs[l]
-        i, j = data.subsets[l]
-        s[i] = 1.0 if rng.random() < 0.5 else -1.0
-        s[j] = 1.0 if rng.random() < 0.5 else -1.0
-        m = data.signs @ s
-        pos = m == data.offcount
-        neg = m == -data.offcount
-        f0 = int(np.count_nonzero(pos)) + int(np.count_nonzero(neg))
-        if rng.random() * f0 < 1.0:
-            incident = np.concatenate([data.subsets[pos], data.subsets[neg]])
-            return s.astype(int), cell_rays(data, pos, neg), tuple(map(tuple, incident.tolist()))
-
-
-@pytest.mark.parametrize(
-    "n,seeds", [(3, 150), (4, 150), (5, 150), (8, 150), (16, 150), (64, 200), (128, 40), (256, 20)]
-)
-def test_local_cell_kernel_matches_ray_sign_matrix(n, seeds):
-    # same draws in the same order, so the same cell, bit-identical rays,
-    # the same incidences and the same generator state afterwards
-    from conehull.arrangement import fast_ray_data
-    from conehull.samplers import _uniform_cell_local
-
-    for seed in range(seeds):
-        normals = sample_uniform_sphere_batch(2, n, np.random.default_rng([n, seed]))
-        data = fast_ray_data(normals)
-        ref_rng = np.random.default_rng([seed, 1])
-        rng = np.random.default_rng([seed, 1])
-        for _ in range(2):
-            s_ref, rays_ref, inc_ref = _matrix_uniform_cell(data, ref_rng)
-            s, rays, inc = _uniform_cell_local(normals, rng)
-            assert np.array_equal(s, s_ref)
-            assert rays.tobytes() == rays_ref.tobytes()
-            assert inc == inc_ref
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
 def _ray_sign_uniform_cell(data, rng):
     """Reference for the walk in any dimension: the proposal loop over the
     ray sign matrix of ray_sign_data, with the walk's draws in its order."""
@@ -221,12 +176,14 @@ def _ray_sign_uniform_cell(data, rng):
             return s, cell_rays(data, pos, neg), cell_incidence(data, pos, neg)
 
 
-@pytest.mark.parametrize("D,n,seeds", [(2, 2, 40), (2, 7, 40), (2, 20, 40), (4, 4, 40),
+@pytest.mark.parametrize("D,n,seeds", [(2, 2, 40), (2, 7, 40), (2, 20, 40), (3, 3, 150),
+                                       (3, 4, 150), (3, 5, 150), (3, 8, 150), (3, 16, 150),
+                                       (3, 64, 200), (3, 128, 40), (3, 256, 20), (4, 4, 40),
                                        (4, 6, 40), (4, 12, 30), (4, 20, 20), (5, 5, 30),
                                        (5, 8, 20), (5, 14, 10)])
 def test_walk_matches_ray_sign_proposals(D, n, seeds):
-    # the same draws in the same order outside R^3: the same cell, rays equal
-    # to the bit, the same incidences and the same generator state afterwards
+    # the same draws in the same order: the same cell, rays equal to the
+    # bit, the same incidences and the same generator state afterwards
     from conehull.arrangement import ray_sign_data
     from conehull.samplers import _uniform_cell_local
 
