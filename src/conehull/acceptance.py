@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 
 from .arrangement import (
     arrangement_face_census,
@@ -30,7 +29,6 @@ from .densities import (
     exterior_inverse_power_integral,
     log_eval_phi,
     log_eval_phi_n,
-    omega,
     pc_halfspace,
 )
 from .errors import TiedFirstCoordinate
@@ -417,9 +415,12 @@ def criterion_closed_forms(config: ExperimentConfig) -> list[ResultRecord]:
             _band_record(config, f"closed-forms[{name}]", Estimate(value, 0.0), target, 1, passed=passed)
         )
 
-    for r in (0.5, 1.0, 2.0):
-        val = omega(2) * quad(lambda s: s**-2.0, r, np.inf)[0]
-        check(f"disc-exterior-r={r}", val, 2.0 * math.pi / r, 1e-9)
+    # regular m-gons of inradius r: each edge adds 2 sin(pi/m) / r
+    for m, r in ((3, 0.5), (64, 1.0), (1024, 2.0)):
+        ang = 2.0 * math.pi * np.arange(m) / m
+        ngon = Polytope(2, r / math.cos(math.pi / m) * np.column_stack([np.cos(ang), np.sin(ang)]))
+        target = 2.0 * m * math.sin(math.pi / m) / r
+        check(f"ngon-exterior-m={m}-r={r}", exterior_inverse_power_integral(ngon, 2), target, 1e-9)
     square = Polytope(2, np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float))
     check("square-exterior", exterior_inverse_power_integral(square, 2), 4.0 * math.sqrt(2.0), 1e-9)
     check("pc-half-space", pc_halfspace(0.0), 0.5, 0.0)

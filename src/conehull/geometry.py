@@ -151,7 +151,8 @@ def ccw_order(vertices: np.ndarray) -> np.ndarray:
 def polygon_area(vertices_ccw: np.ndarray) -> float:
     x = vertices_ccw[:, 0]
     y = vertices_ccw[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    x1, y1 = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
+    return 0.5 * float(np.dot(x, y1) - np.dot(y, x1))
 
 
 def polytope_volume(p: Polytope) -> float:
@@ -179,7 +180,7 @@ def point_in_convex_polygon(x, vertices_ccw: np.ndarray, tol: float = EPS_SIGN) 
 def polygon_edge_normals(vertices_ccw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outward unit normals and offsets of a ccw convex polygon's edges."""
     a = vertices_ccw
-    b = np.roll(vertices_ccw, -1, axis=0)
+    b = np.concatenate((a[1:], a[:1]))
     t = b - a
     normals = np.stack([t[:, 1], -t[:, 0]], axis=1)
     norms = np.linalg.norm(normals, axis=1)

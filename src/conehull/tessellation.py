@@ -86,13 +86,24 @@ def sample_pht(
     return HyperplaneProcessSample(intensity=gamma, window_radius=R, hyperplanes=planes)
 
 
+def _shell_arrays(
+    d: int, gamma: float, r_lo: float, r_hi: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Directions (m, d) and distances (m,) of the hyperplanes whose
+    distance from the origin lies in [r_lo, r_hi)."""
+    count = int(rng.poisson(2.0 * gamma * (r_hi - r_lo)))
+    dirs = sample_uniform_sphere_batch(d - 1, count, rng) if count else np.empty((0, d))
+    return dirs, r_lo + (r_hi - r_lo) * rng.random(count)
+
+
+def _hyperplanes(dirs: np.ndarray, dists: np.ndarray) -> list[AffineHyperplane]:
+    return [AffineHyperplane(u, t) for u, t in zip(dirs, dists.tolist())]
+
+
 def _sample_pht_shell(
     d: int, gamma: float, r_lo: float, r_hi: float, rng: np.random.Generator
 ) -> list[AffineHyperplane]:
-    count = int(rng.poisson(2.0 * gamma * (r_hi - r_lo)))
-    dirs = sample_uniform_sphere_batch(d - 1, count, rng) if count else np.empty((0, d))
-    dists = r_lo + (r_hi - r_lo) * rng.random(count)
-    return [AffineHyperplane(dirs[i], float(dists[i])) for i in range(count)]
+    return _hyperplanes(*_shell_arrays(d, gamma, r_lo, r_hi, rng))
 
 
 def _plane_arrays(planes: list[AffineHyperplane], d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,18 +121,13 @@ def _box(R: float) -> np.ndarray:
     return np.array([[-R, -R], [R, -R], [R, R], [-R, R]], dtype=float)
 
 
-def clip_polygon(verts: np.ndarray, normal, offset: float) -> np.ndarray:
-    """Intersection of a ccw convex polygon with {x : <normal, x> <= offset}."""
-    if len(verts) == 0:
-        return verts
-    vals = verts @ np.asarray(normal, dtype=float) - offset
-    return _split_polygon(verts, vals.tolist())[0]
-
-
-def _split_polygon(verts: np.ndarray, vals: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def _split_polygon(
+    verts: np.ndarray, vals: list[float], upper: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
     """Both parts of a ccw convex polygon, where vals = <normal, x> - offset
     at its vertices is <= EPS_SIGN and where it is >= -EPS_SIGN, in one
-    Sutherland-Hodgman pass; a part with under 3 vertices comes back empty.
+    Sutherland-Hodgman pass; a part with under 3 vertices comes back empty,
+    and so does the upper part when upper is False.
     The upper part is the lower part of -vals bit for bit: negation is
     exact, and it leaves a cut edge's parameter va / (va - vb) unchanged.
     """
@@ -131,23 +137,31 @@ def _split_polygon(verts: np.ndarray, vals: list[float]) -> tuple[np.ndarray, np
     for a, va, b, vb in zip(pts, vals, pts[1:] + pts[:1], vals[1:] + vals[:1]):
         if va <= EPS_SIGN:
             lo.append(a)
-        if va >= -EPS_SIGN:
+        if upper and va >= -EPS_SIGN:
             hi.append(a)
         if (va < -EPS_SIGN and vb > EPS_SIGN) or (va > EPS_SIGN and vb < -EPS_SIGN):
             s = va / (va - vb)
             p = [a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1])]
             lo.append(p)
             hi.append(p)
-    return tuple(np.array(h) if len(h) >= 3 else np.empty((0, 2)) for h in (lo, hi))
+    empty = np.empty((0, 2))
+    return np.array(lo) if len(lo) >= 3 else empty, np.array(hi) if len(hi) >= 3 else empty
 
 
 def intersect_halfplanes(
     normals: np.ndarray, offsets: np.ndarray, bound: float
 ) -> np.ndarray:
-    """ccw vertices of the intersection of {<u_i, x> <= t_i} with a box."""
+    """ccw vertices of the intersection of {<u_i, x> <= t_i} with a box.
+
+    A line with <u, x> - t <= EPS_SIGN at every vertex would keep the
+    polygon as it is, so only the lines that cut it are clipped.
+    """
     poly = _box(bound)
-    for u, t in zip(normals, offsets):
-        poly = clip_polygon(poly, u, t)
+    for u, t in zip(normals, offsets.tolist()):
+        vals = (poly @ u - t).tolist()
+        if max(vals) <= EPS_SIGN:
+            continue
+        poly = _split_polygon(poly, vals, upper=False)[0]
         if len(poly) == 0:
             break
     return poly
@@ -192,16 +206,19 @@ def sample_zero_cell(
     if d not in (2, 3):
         raise DegenerateInput("zero cells supported for d in {2, 3}")
     R = initial_radius if initial_radius is not None else 5.0 / gamma
-    planes = _sample_pht_shell(d, gamma, 0.0, R, rng)
+    dirs, dists = _shell_arrays(d, gamma, 0.0, R, rng)
     for _ in range(max_doublings):
-        verts = _zero_cell_polytope(d, planes, bound=R)
+        if d == 2:
+            verts = intersect_halfplanes(dirs, dists, R)
+        else:
+            verts = _zero_cell_polytope(d, _hyperplanes(dirs, dists), R)
         if len(verts) >= d + 1:
             vmax = float(np.max(np.linalg.norm(verts, axis=1)))
             if vmax < R * (1.0 - 1e-12):
-                return ZeroCellSample(
-                    polytope=Polytope(d, verts), radius=R, hyperplanes=planes
-                )
-        planes = planes + _sample_pht_shell(d, gamma, R, 2.0 * R, rng)
+                planes = _hyperplanes(dirs, dists)
+                return ZeroCellSample(polytope=Polytope(d, verts), radius=R, hyperplanes=planes)
+        more_dirs, more_dists = _shell_arrays(d, gamma, R, 2.0 * R, rng)
+        dirs, dists = np.concatenate((dirs, more_dirs)), np.concatenate((dists, more_dists))
         R *= 2.0
     raise IterationCap("zero cell did not close after radius doublings")
 
@@ -344,11 +361,9 @@ def chebyshev_inradius(normals: np.ndarray, offsets: np.ndarray, center: np.ndar
     A = np.hstack([normals, np.ones((m, 1))])
     subsets = itertools.combinations(range(m), d + 1)
     best = -np.inf
-    while True:
+    for _ in range(-(-math.comb(m, d + 1) // _CHEBYSHEV_BLOCK)):
         block = itertools.islice(subsets, _CHEBYSHEV_BLOCK)
         idx = np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp).reshape(-1, d + 1)
-        if len(idx) == 0:
-            break
         M = A[idx]
         regular = np.abs(np.linalg.det(M)) > EPS_SIGN
         sol = np.linalg.solve(M[regular], t[idx[regular]][..., None])[..., 0]

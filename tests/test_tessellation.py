@@ -12,6 +12,7 @@ from conehull.geometry import (
     ccw_order,
     point_in_convex_polygon,
     polygon_area,
+    polygon_edge_normals,
     polytope_volume,
 )
 from conehull.rng import RngStream
@@ -19,8 +20,8 @@ from conehull.tessellation import (
     AffineHyperplane,
     cell_features,
     chebyshev_inradius,
-    clip_polygon,
     intensity_gamma,
+    intersect_halfplanes,
     sample_pht,
     sample_typical_cell,
     sample_zero_cell,
@@ -90,11 +91,9 @@ def test_line_process_hits_of_segment_linear_in_length():
     assert abs(m2 - 2 * m1) <= 4 * se
 
 
-def test_clip_polygon_square():
-    from conehull.geometry import polygon_area
-
-    box = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-    half = clip_polygon(box, np.array([1.0, 0.0]), 0.0)
+def test_intersect_halfplanes_square():
+    # the box [-1, 1]^2 cut by x <= 0
+    half = intersect_halfplanes(np.array([[1.0, 0.0]]), np.array([0.0]), 1.0)
     assert abs(polygon_area(ccw_order(half))) == pytest.approx(2.0, abs=1e-12)
     assert np.max(half[:, 0]) <= 1e-12
 
@@ -390,12 +389,51 @@ def test_split_polygon_equals_two_clips():
         for t in [float((poly @ u)[k]) + c * EPS_SIGN for c in shifts] + [float(u @ rng.normal(size=2))]:
             vals = poly @ u - t
             lo, hi = _split_polygon(poly, vals.tolist())
-            for clip in (_reference_clip, clip_polygon):
-                assert _same_arrays([lo, hi], [clip(poly, u, t), clip(poly, -u, -t)])
+            assert _same_arrays([lo, hi], [_reference_clip(poly, u, t), _reference_clip(poly, -u, -t)])
 
 
-def _reference_zero_cell(gamma, rng):
-    R = 5.0 / gamma
+def _halfplane_sets():
+    # the borderline lines on both sides, lines that miss the box, and
+    # sets that empty it: apart, or leaving a two-vertex sliver
+    sets = {}
+    for name, (normals, offsets, R) in _borderline_line_sets().items():
+        sets[name] = (normals, offsets, R)
+        sets[name + "-flipped"] = (-normals, -offsets, R)
+    R = 10.0
+    e1 = np.array([1.0, 0.0])
+    sets["none"] = (np.empty((0, 2)), np.empty(0), R)
+    sets["miss"] = (np.array([e1, -e1, _unit(1.0, 1.0)]), np.array([R, R + 1.0, 20.0]), R)
+    sets["apart"] = (np.array([e1, -e1, _unit(1.0, 2.0)]), np.array([-1.0, -1.0, 0.0]), R)
+    sets["sliver"] = (np.array([e1, -e1]), np.array([0.0, -0.5 * EPS_SIGN]), R)
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(_halfplane_sets()))
+def test_intersect_halfplanes_equals_clip_chain(name):
+    normals, offsets, R = _halfplane_sets()[name]
+    expect = np.array([[-R, -R], [R, -R], [R, R], [-R, R]], dtype=float)
+    for u, t in zip(normals, offsets):
+        expect = _reference_clip(expect, u, t)
+        if len(expect) == 0:
+            break
+    assert _same_arrays([intersect_halfplanes(normals, offsets, R)], [expect])
+
+
+def test_planar_area_and_normals_match_roll_forms():
+    rng = rng_for(32)
+    for _ in range(1000):
+        v = ccw_order(_random_convex_polygon(rng))
+        x, y = v[:, 0], v[:, 1]
+        assert polygon_area(v) == 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        t = np.roll(v, -1, axis=0) - v
+        normals = np.stack([t[:, 1], -t[:, 0]], axis=1)
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        got = polygon_edge_normals(v)
+        assert _same_arrays(got, [normals, np.einsum("ij,ij->i", normals, v)])
+
+
+def _reference_zero_cell_sample(gamma, R, rng):
+    """The zero cell, its radius and its drawn lines, by the clip chain."""
     planes = _sample_pht_shell(2, gamma, 0.0, R, rng)
     for _ in range(20):
         poly = np.array([[-R, -R], [R, -R], [R, R], [-R, R]], dtype=float)
@@ -404,10 +442,14 @@ def _reference_zero_cell(gamma, rng):
             if len(poly) == 0:
                 break
         if len(poly) >= 3 and float(np.max(np.linalg.norm(poly, axis=1))) < R * (1.0 - 1e-12):
-            return Polytope(2, poly)
+            return Polytope(2, poly), R, planes
         planes = planes + _sample_pht_shell(2, gamma, R, 2.0 * R, rng)
         R *= 2.0
     raise AssertionError("zero cell did not close")
+
+
+def _reference_zero_cell(gamma, rng):
+    return _reference_zero_cell_sample(gamma, 5.0 / gamma, rng)[0]
 
 
 def test_importance_draws_match_reference_clip_loop():
@@ -418,6 +460,23 @@ def test_importance_draws_match_reference_clip_loop():
         assert _same_arrays([w.polytope.vertices], [expect.vertices])
         assert w.weight == 1.0 / polytope_volume(expect)
         assert _state(g) == _state(g_ref)
+
+
+def test_zero_cells_from_small_radius_match_clip_chain():
+    # from radius 0.5 a draw doubles the radius 2 to 6 times
+    doublings = []
+    for r in range(40):
+        g_ref, g = RngStream(6400, r).generator(), RngStream(6400, r).generator()
+        poly, R, planes = _reference_zero_cell_sample(0.5, 0.5, g_ref)
+        z = sample_zero_cell(2, 0.5, g, initial_radius=0.5)
+        assert _same_arrays([z.polytope.vertices], [poly.vertices])
+        assert z.radius == R
+        assert _state(g) == _state(g_ref)
+        assert len(z.hyperplanes) == len(planes)
+        assert _same_arrays([h.direction for h in z.hyperplanes], [h.direction for h in planes])
+        assert [h.distance for h in z.hyperplanes] == [h.distance for h in planes]
+        doublings.append(math.log2(R / 0.5))
+    assert min(doublings) >= 2 and np.median(doublings) >= 3
 
 
 # --- exact inradius -------------------------------------------------------
